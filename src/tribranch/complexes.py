@@ -162,9 +162,6 @@ class TribranchedComplex:
                 return b
         raise KeyError(branch_id)
 
-    def block_ids(self) -> list:
-        return [b.id for b in self.blocks]
-
     def taxonomy_counts(self) -> dict:
         counts = {}
         for b in self.branches:
@@ -185,14 +182,6 @@ class TribranchedComplex:
             "branch_taxonomy": dict(sorted(self.taxonomy_counts().items())),
             "block_kinds": dict(sorted(self.block_counts().items())),
         }
-
-    def incidences(self) -> dict:
-        """Block id -> sorted list of branch ids meeting its closure."""
-        out = {b.id: set() for b in self.blocks}
-        for branch_id, (below, above) in self.sides.items():
-            out[below].add(branch_id)
-            out[above].add(branch_id)
-        return {k: sorted(v) for k, v in out.items()}
 
     def adjacency_graph(self):
         """Branches and circles with germ edges, for connectivity checks."""
@@ -377,14 +366,14 @@ def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
         pd = pages[k]
         cut = dep[k] | arr[k]
         pieces = cut_structure(pd, cut)
-        assert sum(p.sig.euler_char for p in pieces) == page.euler_char
+        if sum(p.sig.euler_char for p in pieces) != page.euler_char:
+            raise ConstructionError(f"level {k}: cut pieces do not add up to the page")
         for i, piece in enumerate(pieces):
             merged = bool(piece.glued)
             taxonomy = MERGED_PIECE if merged else PANTS_PIECE
-            if merged:
-                assert piece.sig in (SurfaceSig(0, 4), SurfaceSig(1, 1))
-            else:
-                assert piece.sig == SurfaceSig(0, 3)
+            allowed = (SurfaceSig(0, 4), SurfaceSig(1, 1)) if merged else (SurfaceSig(0, 3),)
+            if piece.sig not in allowed:
+                raise ConstructionError(f"level {k}: unexpected page piece {piece.sig}")
             branch_id = f"piece:{k}:{i}"
             slots = []
             for prov in piece.boundary:
@@ -504,7 +493,8 @@ def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
         lookup = {}
         for i, comp in enumerate(comps):
             base = comp.sig
-            assert base in (SurfaceSig(0, 3), SurfaceSig(0, 4), SurfaceSig(1, 1))
+            if base not in (SurfaceSig(0, 3), SurfaceSig(0, 4), SurfaceSig(1, 1)):
+                raise ConstructionError(f"level {k}: unexpected block base {base}")
             block_id = f"block:{k}:{i}"
             blocks.append(product_block(block_id, base))
             for pants_id in comp.pants:
@@ -545,7 +535,8 @@ def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
             )
 
     n_shared = sum(len(d) for d in d_sets)
-    assert len(circles) == 2 * n_shared + levels * b
+    if len(circles) != 2 * n_shared + levels * b:
+        raise ConstructionError("branching circle count differs from the shared curve count")
     meta = {
         "construction": "outer",
         "page": page,

@@ -46,10 +46,6 @@ class IntMatrix:
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -72,25 +68,6 @@ class IntMatrix:
                 )
             out.append(row)
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise TribranchError("matrix size mismatch")
-        return IntMatrix.from_rows(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        ) if self.rows else self
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise TribranchError("row count mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(self.entries[i] + other.entries[i] for i in range(self.rows)),
-        )
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""

@@ -161,13 +161,16 @@ def validate_spec(spec: OpenBookSpec) -> ValidationReport:
         report.add("page-boundary", "page must have at least one boundary circle")
         return report
     report.extend(validate_monodromy(spec.page, spec.monodromy))
-    k = h1_rank(spec.page)
-    w = spec.winding_matrix()
-    if (w.rows, w.cols) != (k, spec.page.n_boundary):
-        report.add(
-            "windings-shape",
-            f"windings are {w.rows}x{w.cols}, expected {k}x{spec.page.n_boundary}",
-        )
+    # Default windings are zero and shaped to the page; building them just to
+    # check that would allocate a matrix as large as the declared page.
+    w = spec.windings
+    if w is not None:
+        k = h1_rank(spec.page)
+        if (w.rows, w.cols) != (k, spec.page.n_boundary):
+            report.add(
+                "windings-shape",
+                f"windings are {w.rows}x{w.cols}, expected {k}x{spec.page.n_boundary}",
+            )
     if spec.pants_path is not None:
         path_sig = spec.pants_path.start.surface_sig()
         if path_sig != spec.page:
@@ -258,32 +261,6 @@ def rank_certificate(spec: OpenBookSpec) -> RankCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _minor(m: IntMatrix, drop_row: int, drop_col: int) -> IntMatrix:
-    rows = [
-        [m.entries[i][j] for j in range(m.cols) if j != drop_col]
-        for i in range(m.rows)
-        if i != drop_row
-    ]
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, 0, ())
-
-
-def unimodular_inverse(p: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (via the adjugate)."""
-    if p.rows != p.cols:
-        raise TribranchError("inverse of a non-square matrix")
-    n = p.rows
-    if n == 0:
-        return p
-    d = p.det()
-    if abs(d) != 1:
-        raise TribranchError(f"matrix is not unimodular (det {d})")
-    adj = [
-        [((-1) ** (i + j)) * _minor(p, j, i).det() * d for j in range(n)]
-        for i in range(n)
-    ]
-    return IntMatrix.from_rows(adj)
-
-
 def _stabilized_basis_change(page: SurfaceSig, site: int) -> IntMatrix:
     """Columns: the standard basis of the stabilized page, written in the
     old basis of H_1 extended by the stabilizing-curve class e.
@@ -315,6 +292,24 @@ def _stabilized_basis_change(page: SurfaceSig, site: int) -> IntMatrix:
                 col[k] = -1
         cols.append(col)
     return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _stabilized_basis_inverse(page: SurfaceSig, site: int) -> IntMatrix:
+    """The inverse of :func:`_stabilized_basis_change`, in closed form.
+
+    On the new page the boundary classes c'_1, ..., c'_{b+1} sum to zero and
+    c'_{b+1} = e, so e = -(c'_1 + ... + c'_b); the old class c_site (site < b)
+    is c'_site + e, and every other old class keeps its coordinates.  Only
+    the c' rows differ from the identity.
+    """
+    g, b = page.genus, page.n_boundary
+    k = h1_rank(page)
+    rows = [[1 if i == j else 0 for j in range(k + 1)] for i in range(k + 1)]
+    for r in range(2 * g, k + 1):
+        rows[r][k] = -1
+        if site < b:
+            rows[r][2 * g + site - 1] -= 1
+    return IntMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -349,7 +344,7 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     new_page = SurfaceSig(genus=g, n_boundary=b + 1)
 
     p = _stabilized_basis_change(spec.page, site)
-    p_inv = unimodular_inverse(p)
+    p_inv = _stabilized_basis_inverse(spec.page, site)
 
     # Action on H_1 of the new page: the old action extended by the identity
     # on the handle class, conjugated into the new standard basis.  The added
@@ -364,19 +359,11 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     # circle b+1 picks up the stabilizing-curve class e on top of whatever
     # the old site circle carried.
     old_w = spec.winding_matrix()
-    e_hat = [0] * k + [1]
-    new_cols = []
-    for label in range(1, b + 1):
-        col = [old_w.entries[i][label - 1] for i in range(k)] + [0]
-        new_cols.append(col)
-    new_cols.append(
-        [old_w.entries[i][site - 1] for i in range(k)] + [0]
-    )
-    new_cols[-1] = [x + y for x, y in zip(new_cols[-1], e_hat)]
-    transported = [p_inv.mul(IntMatrix.from_rows([[x] for x in col])) for col in new_cols]
-    new_w = IntMatrix.from_rows(
-        [[transported[j].entries[i][0] for j in range(b + 1)] for i in range(k + 1)]
-    )
+    carried = [
+        list(old_w.entries[i]) + [old_w.entries[i][site - 1]] for i in range(k)
+    ]
+    carried.append([0] * b + [1])
+    new_w = p_inv.mul(IntMatrix.from_rows(carried))
 
     notes = [f"stabilized at boundary circle {site}: page {spec.page} -> {new_page}"]
     new_path = None

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .errors import MoveError, TribranchError
 from .reports import ValidationReport
@@ -68,15 +69,6 @@ class PantsMove:
             doc["pairing"] = [[list(c) for c in side] for side in self.pairing]
         return doc
 
-    @staticmethod
-    def from_json(doc: dict) -> "PantsMove":
-        pairing = None
-        if doc.get("pairing") is not None:
-            pairing = tuple(
-                tuple(tuple(c) for c in side) for side in doc["pairing"]
-            )
-        return PantsMove(doc["removed"], doc["added"], doc["kind"], pairing)
-
 
 @dataclass
 class PantsPath:
@@ -97,14 +89,6 @@ class PantsPath:
             "moves": [m.to_json() for m in self.moves],
             "closure": dict(sorted(self.closure.items())),
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "PantsPath":
-        return PantsPath(
-            start=PantsDecomposition.from_json(doc["start"]),
-            moves=[PantsMove.from_json(m) for m in doc.get("moves", [])],
-            closure=dict(doc.get("closure", {})),
-        )
 
 
 def move_kind(pd: PantsDecomposition, removed: CurveId) -> str:
@@ -397,14 +381,18 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
         # monodromy use), the result is a complete path accepted by
         # validate_path; otherwise it is an open fragment.
         iso = find_isomorphism(pd, c_target)
-        assert iso is not None
+        if iso is None:
+            raise TribranchError("search reached the target class without an isomorphism")
         _, emap = iso
         return PantsPath(start=c, moves=moves, closure=dict(emap))
 
     if canonical_key(c) == target_key:
         return finish(c, [])
 
-    fresh = 0
+    # Fresh curve ids n1, n2, ... skip the ids of the start system, so they
+    # never clash with a curve that is still present.
+    fresh_ids = (f"n{j}" for j in count(1) if f"n{j}" not in c.edges)
+    fresh = next(fresh_ids)
     seen = {canonical_key(c)}
     queue = deque([(c, [])])
     expanded = 0
@@ -413,21 +401,14 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
         expanded += 1
         for curve in pd.curve_ids():
             kind = move_kind(pd, curve)
-            if kind == S_MOVE:
-                candidates = [PantsMove(curve, f"n{fresh + 1}", S_MOVE)]
-            else:
-                candidates = [
-                    PantsMove(curve, f"n{fresh + 1}", A_MOVE, pairing)
-                    for pairing in enumerate_pairings(pd, curve)
-                ]
-            for mv in candidates:
+            pairings = [None] if kind == S_MOVE else enumerate_pairings(pd, curve)
+            for pairing in pairings:
+                mv = PantsMove(curve, fresh, kind, pairing)
                 nxt = apply_move(pd, mv)
                 key = canonical_key(nxt)
                 if key in seen:
                     continue
-                fresh += 1
-                mv = PantsMove(curve, f"n{fresh}", mv.kind, mv.pairing)
-                nxt = apply_move(pd, mv)
+                fresh = next(fresh_ids)
                 seen.add(key)
                 if key == target_key:
                     return finish(nxt, moves + [mv])

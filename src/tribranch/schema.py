@@ -22,7 +22,8 @@ A spec file describes one open book::
           "closure": {"c9": "c1", ...}
         }
       },
-      "options": {"degenerate_path_convention": true}
+      "options": {"degenerate_path_convention": true},
+      "format": "tribranch-spec/1"          // optional; no other value
     }
 
 Structural problems (missing keys, wrong JSON types, ragged matrices) raise
@@ -100,6 +101,8 @@ def parse_decomposition(doc: dict, where: str = "pants_path.start") -> PantsDeco
     pants = _require(doc, "pants", list, where)
     if any(not isinstance(p, str) for p in pants):
         raise SchemaError(f"{where}.pants must be strings")
+    if len(set(pants)) != len(pants):
+        raise SchemaError(f"{where}.pants lists a pants id more than once")
     edges_doc = _require(doc, "edges", dict, where)
     edges = {}
     for curve, ends in edges_doc.items():
@@ -129,8 +132,10 @@ def parse_move(doc: dict, where: str) -> PantsMove:
     pairing = None
     if doc.get("pairing") is not None:
         raw = doc["pairing"]
-        if not isinstance(raw, list):
-            raise SchemaError(f"{where}.pairing must be a list of two groups")
+        if not isinstance(raw, list) or len(raw) != 2 or any(
+            not isinstance(side, list) for side in raw
+        ):
+            raise SchemaError(f"{where}.pairing must be a list of two groups of cuffs")
         pairing = tuple(
             tuple(_cuff(c, f"{where}.pairing") for c in side) for side in raw
         )
@@ -159,6 +164,8 @@ def parse_spec(doc: dict) -> OpenBookSpec:
     """
     if not isinstance(doc, dict):
         raise SchemaError("spec document must be a JSON object")
+    if doc.get("format", SPEC_FORMAT) != SPEC_FORMAT:
+        raise SchemaError(f"format must be {SPEC_FORMAT!r} when given")
     page_doc = _require(doc, "page", dict, "spec")
     genus = _int(_require(page_doc, "genus", int, "page"), "page.genus")
     boundary = _int(_require(page_doc, "boundary", int, "page"), "page.boundary")

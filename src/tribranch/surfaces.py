@@ -160,10 +160,6 @@ class PantsDecomposition:
             "legs": {str(k): list(self.legs[k]) for k in sorted(self.legs)},
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "PantsDecomposition":
-        return PantsDecomposition.build(doc["pants"], doc["edges"], doc["legs"])
-
 
 def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
     """Check every decomposition invariant against the surface signature.
@@ -463,5 +459,6 @@ def standard_decomposition(sig: SurfaceSig) -> PantsDecomposition:
         while free[p]:
             legs[label] = (p, take(p))
             label += 1
-    assert label - 1 == sig.n_boundary
+    if label - 1 != sig.n_boundary:
+        raise TribranchError(f"standard decomposition of {sig} has {label - 1} legs")
     return PantsDecomposition.build(pants, edges, legs)

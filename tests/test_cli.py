@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import tribranch
 from tribranch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,3 +196,51 @@ def test_reports_embed_input_hash_and_are_deterministic(capsys):
     doc = report_of(out1)
     assert doc["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert doc["timings"] is None
+
+
+def _mutated_f05(mutate, tmp_path):
+    doc = json.loads((FIXTURES / "f05_identity.json").read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _bad_pairing(doc):
+    doc["monodromy"]["pants_path"]["moves"] = [
+        {"removed": "c1", "added": "c9", "kind": "A", "pairing": [1, 2]}
+    ]
+
+
+def _duplicate_pants(doc):
+    doc["monodromy"]["pants_path"]["start"]["pants"] = ["P0", "P0", "P1", "P2"]
+
+
+def _unknown_format(doc):
+    doc["format"] = "tribranch-spec/2"
+
+
+@pytest.mark.parametrize("mutate", [_bad_pairing, _duplicate_pants, _unknown_format])
+def test_malformed_spec_is_a_schema_failure(mutate, tmp_path):
+    spec = _mutated_f05(mutate, tmp_path)
+    env = dict(os.environ)
+    src = str(Path(tribranch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tribranch", "certify", str(spec), "--quiet"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):
+    def huge(doc):
+        doc["page"]["boundary"] = 10**30
+
+    spec = _mutated_f05(huge, tmp_path)
+    for verb in ("validate", "certify"):
+        code, out, _ = run(capsys, verb, spec, "--quiet")
+        assert code == 1
+        assert "matrix-dimension" in {e["code"] for e in report_of(out)["validation"]}

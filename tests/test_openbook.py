@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tribranch import (
@@ -24,6 +26,7 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
+from tribranch.openbook import _stabilized_basis_change, _stabilized_basis_inverse
 
 from genutils import make_rng, random_monodromy, random_page
 
@@ -143,12 +146,23 @@ def test_h1_invariant_under_boundary_fixing_conjugation():
         k = h1_rank(page)
         m = random_monodromy(page, rng)
         spec = OpenBookSpec(page=page, monodromy=m)
-        # Conjugate by a random valid change of basis fixing the boundary
-        # classes: itself a valid "monodromy shape" matrix.
-        conj = random_monodromy(page, rng, twists=3).matrix
-        from tribranch.openbook import unimodular_inverse
+        # Conjugate by a random product of transvections, itself a valid
+        # "monodromy shape" matrix fixing the boundary classes.  The form is
+        # alternating, so (T_c - 1)^2 = 0 and T_c has inverse 2 - T_c.
+        j = intersection_form(page)
+        twists = [
+            transvection(j, [rng.randint(-2, 2) for _ in range(k)]) for _ in range(3)
+        ]
+        conj = IntMatrix.identity(k)
+        conj_inv = IntMatrix.identity(k)
+        for t in twists:
+            conj = conj.mul(t)
+            undo = [[2 * (i == c) - x for c, x in enumerate(row)]
+                    for i, row in enumerate(t.entries)]
+            conj_inv = IntMatrix.from_rows(undo).mul(conj_inv)
+        assert conj_inv.mul(conj) == IntMatrix.identity(k)
 
-        conjugated = unimodular_inverse(conj).mul(m.matrix).mul(conj)
+        conjugated = conj_inv.mul(m.matrix).mul(conj)
         spec2 = OpenBookSpec(page=page, monodromy=MonodromyH1(conjugated))
         if not validate_monodromy(page, MonodromyH1(conjugated)).ok:
             continue
@@ -200,6 +214,35 @@ def test_stabilize_random_specs_preserve_h1():
         # And again: stabilizations compose.
         res2 = stabilize(res.spec, site=rng.randint(1, res.spec.page.n_boundary))
         assert h1_open_book(res2.spec) == before
+
+
+def test_stabilized_basis_inverse_closed_form():
+    for g in range(3):
+        for b in range(1, 9):
+            page = SurfaceSig(g, b)
+            n = h1_rank(page) + 1
+            for site in range(1, b + 1):
+                p = _stabilized_basis_change(page, site)
+                p_inv = _stabilized_basis_inverse(page, site)
+                assert p_inv.mul(p) == IntMatrix.identity(n), (g, b, site)
+                assert p.mul(p_inv) == IntMatrix.identity(n), (g, b, site)
+
+
+def test_stabilize_ladder_to_rank_42_keeps_h1():
+    rng = make_rng(33)
+    page = SurfaceSig(1, 1)
+    spec = OpenBookSpec(page=page, monodromy=random_monodromy(page, rng))
+    before = h1_open_book(spec)
+    spent = 0.0
+    for _ in range(40):
+        site = rng.randint(1, spec.page.n_boundary)
+        begin = time.perf_counter()
+        spec = stabilize(spec, site=site).spec
+        spent += time.perf_counter() - begin
+        assert h1_open_book(spec) == before
+    assert h1_rank(spec.page) == 42
+    # An O(n^5) inversion of the basis change takes tens of seconds here.
+    assert spent < 1.0, f"40 stabilizations took {spent:.2f}s"
 
 
 def test_stabilize_invalid_site():

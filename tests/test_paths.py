@@ -327,6 +327,31 @@ def test_search_budget_exhaustion_returns_none():
     assert found is not None and len(found.moves) == 2
 
 
+def test_search_fresh_ids_skip_start_curve_ids():
+    a, _ = two_leg_groupings_f05()
+    far = PantsDecomposition.build(
+        ["P0", "P1", "P2"],
+        {"c1": (("P0", 1), ("P1", 1)), "c2": (("P1", 2), ("P2", 1))},
+        {1: ("P0", 2), 3: ("P0", 3), 4: ("P1", 3), 2: ("P2", 2), 5: ("P2", 3)},
+    )
+
+    def rename(pd):
+        edges = {"n" + c[1:]: ends for c, ends in pd.edges.items()}
+        return PantsDecomposition.build(pd.pants, edges, pd.legs)
+
+    start = rename(a)
+    assert sorted(start.edges) == ["n1", "n2"]
+    path = search_path(start, rename(far), budget=1000)
+    assert path is not None and len(path.moves) == 2
+    assert all(mv.added not in start.edges for mv in path.moves)
+    assert isomorphic(replay(path)[-1], far)
+    # Only the names differ from the search on the c-named start.
+    plain = search_path(a, far, budget=1000)
+    assert [(mv.kind, mv.pairing) for mv in path.moves] == [
+        (mv.kind, mv.pairing) for mv in plain.moves
+    ]
+
+
 def test_search_surface_mismatch_rejected():
     a = standard_decomposition(SurfaceSig(0, 4))
     b = standard_decomposition(SurfaceSig(0, 5))

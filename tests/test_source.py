@@ -1,0 +1,19 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "tribranch"
+
+
+def test_no_bare_asserts_in_package():
+    # `python -O` strips assert statements; an internal invariant must raise
+    # a domain error so that a broken run can never print a certificate.
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths, f"no package source under {SOURCE}"
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"bare asserts in the package: {found}"

@@ -12,6 +12,7 @@ from tribranch import (
     standard_decomposition,
     validate_pants,
 )
+from tribranch.schema import parse_decomposition
 
 from genutils import make_rng, random_decomposition, random_page
 
@@ -199,5 +200,5 @@ def test_serialization_round_trip():
         sig = random_page(rng)
         pd = random_decomposition(sig, rng)
         doc = pd.to_json()
-        back = PantsDecomposition.from_json(doc)
+        back = parse_decomposition(doc)
         assert back == pd
