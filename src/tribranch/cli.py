@@ -13,8 +13,9 @@ Exit codes: 0 on success (for certify: verdict Essential), 1 on a domain
 failure, 2 on an I/O or schema failure; never anything else.
 
 Reports are canonical JSON and byte-identical across repeated runs on the
-same input.  ``--timings`` adds wall-clock times to the report and is
-therefore excluded from the determinism guarantee.
+same input.  ``certify --timings`` adds wall-clock times to the report, the
+total and one entry per pipeline stage, and is therefore excluded from the
+determinism guarantee.
 """
 
 from __future__ import annotations
@@ -136,34 +137,57 @@ def cmd_construct(args) -> int:
     return _emit(report, EXIT_OK, args, lines)
 
 
+class _StageClock:
+    """Wall-clock seconds of each certify stage, for ``--timings``."""
+
+    def __init__(self):
+        self.started = self.last = time.monotonic()
+        self.stages = {}
+
+    def lap(self, stage: str):
+        now = time.monotonic()
+        self.stages[stage] = round(now - self.last, 6)
+        self.last = now
+
+    def to_json(self) -> dict:
+        return {"seconds": round(self.last - self.started, 6), "stages": dict(self.stages)}
+
+
 def cmd_certify(args) -> int:
-    started = time.monotonic()
+    clock = _StageClock()
     spec, digest = load_spec_file(args.spec)
     report = _base_report("certify", args.spec, digest, spec)
+    clock.lap("parse")
     validation = validate_spec(spec)
     report["validation"] = validation.to_json()
+    clock.lap("validate")
     if not validation.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"spec invalid: {validation.summary()}"])
     try:
         cert = rank_certificate(spec)
         report["certificate"] = cert.to_json()
+        clock.lap("homology")
         tc = construct_outer(spec)
+        clock.lap("construct")
     except TribranchError as err:
         report["error"] = str(err)
         return _emit(report, EXIT_DOMAIN, args, [f"certification failed: {err}"])
     local = check_local_models(tc)
     report["local_models"] = local.to_json()
+    clock.lap("local_models")
     if not local.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"local models dirty: {local.summary()}"])
     essentiality = check_essential(tc, cert)
+    clock.lap("essentiality")
     doc = complex_document(tc)
     report["inventory"] = tc.inventory()
     report["complex_sha256"] = sha256_hex(canonical_json(doc).encode("utf-8"))
     report["essentiality"] = essentiality.to_json()
+    clock.lap("serialization")
     if args.timings:
-        report["timings"] = {"seconds": round(time.monotonic() - started, 6)}
+        report["timings"] = clock.to_json()
     verdict = essentiality.verdict
     lines = [
         f"condition ({c.number}) [{c.status}] {c.witness}"

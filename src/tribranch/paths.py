@@ -1,4 +1,4 @@
-"""Elementary moves on pants decompositions, paths and desk-scale search.
+"""Elementary moves on pants decompositions, paths and breadth-first search.
 
 An elementary move replaces exactly one curve of a pants decomposition:
 
@@ -24,7 +24,10 @@ the original).
 
 Search operates on leg-respecting isomorphism classes of decorated graphs,
 which is weaker than isotopy classes of curve systems on the surface, but it
-is exactly the granularity the downstream constructions consume.
+is exactly the granularity the downstream constructions consume.  Each
+candidate costs one :func:`canonical_key`, a colour refinement rather than a
+loop over vertex orders, so the cost of a search follows the number of
+candidates it generates.
 """
 
 from __future__ import annotations
@@ -386,14 +389,15 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
         _, emap = iso
         return PantsPath(start=c, moves=moves, closure=dict(emap))
 
-    if canonical_key(c) == target_key:
+    start_key = canonical_key(c)
+    if start_key == target_key:
         return finish(c, [])
 
     # Fresh curve ids n1, n2, ... skip the ids of the start system, so they
     # never clash with a curve that is still present.
     fresh_ids = (f"n{j}" for j in count(1) if f"n{j}" not in c.edges)
     fresh = next(fresh_ids)
-    seen = {canonical_key(c)}
+    seen = {start_key}
     queue = deque([(c, [])])
     expanded = 0
     while queue and expanded < budget:

@@ -26,7 +26,6 @@ decomposition and are reported as such by :func:`validate_pants`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import TribranchError
@@ -327,8 +326,13 @@ def cut_components(sig: SurfaceSig, pd: PantsDecomposition, removed) -> list:
 #
 # Two decompositions are compared as decorated trivalent multigraphs with
 # labelled legs; curve ids, pants ids and slot numbers are bookkeeping and
-# carry no meaning.  At desk scale (V <= 10 or so) an exhaustive minimum over
-# vertex orderings is used: correctness over speed.
+# carry no meaning.  All three routines below share one colour refinement
+# (McKay & Piperno, Practical graph isomorphism II, J. Symbolic Comput. 60,
+# 2014): a pants starts coloured by its leg labels and self-loop count, and
+# colour classes are split by the sorted colours of the non-loop neighbours
+# until the partition is stable.  A colour is always the rank of a sorted
+# signature, never a pants id, so colours are isomorphism invariant and
+# comparable between two decompositions.
 # ---------------------------------------------------------------------------
 
 
@@ -342,52 +346,181 @@ def _encoding(pd: PantsDecomposition, order: tuple) -> tuple:
     return (tuple(edges), legs)
 
 
+def _ranks(signature: dict) -> dict:
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+    return {p: rank[sig] for p, sig in signature.items()}
+
+
+def _refine(colour: dict, nbrs: dict) -> dict:
+    """Split colour classes by the sorted colours of the neighbours until stable."""
+    n_colours = len(set(colour.values()))
+    while True:
+        finer = _ranks({p: (c, tuple(sorted(colour[q] for q in nbrs[p])))
+                        for p, c in colour.items()})
+        n_finer = len(set(finer.values()))
+        if n_finer == n_colours:
+            return colour
+        colour, n_colours = finer, n_finer
+
+
+def _colours(pd: PantsDecomposition):
+    """The stable colouring of ``pd`` and what it was refined from.
+
+    Returns ``(colour, legs, loops, nbrs)``: per pants its colour, its leg
+    labels, its self-loop count and the far ends of its other curves.
+    """
+    legs = {p: () for p in pd.pants}
+    loops = dict.fromkeys(pd.pants, 0)
+    nbrs = {p: [] for p in pd.pants}
+    for label in sorted(pd.legs):
+        legs[pd.legs[label][0]] += (label,)
+    for (u, _), (v, _) in pd.edges.values():
+        if u == v:
+            loops[u] += 1
+        else:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    colour = _refine(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs)
+    return colour, legs, loops, nbrs
+
+
+def _orbit_finder(generators: list):
+    """``find`` for the orbits of the group generated by vertex maps (dicts)."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for perm in generators:
+        for p, q in perm.items():
+            rp, rq = find(p), find(q)
+            if rp != rq:
+                parent[rp] = rq
+    return find
+
+
 def canonical_key(pd: PantsDecomposition) -> tuple:
-    """Canonical form of the decorated graph, equal iff leg-respecting isomorphic."""
-    best = None
-    for order in itertools.permutations(sorted(pd.pants)):
-        enc = _encoding(pd, order)
-        if best is None or enc < best:
-            best = enc
+    """Canonical form of the decorated graph, equal iff leg-respecting isomorphic.
+
+    Individualisation-refinement: when the stable colouring leaves a class of
+    several pants, each pants of the first such class is given a colour of
+    its own in turn and the colouring is refined again.  Every leaf of that
+    search orders the pants by colour; the key is the smallest encoding over
+    all leaves.  Two leaves with equal encodings reveal an automorphism, and
+    a branch that an automorphism fixing the individualised pants carries
+    onto a branch already searched holds the same encodings, so it is
+    skipped; without this, symmetric pages would cost one leaf per
+    automorphism.
+    """
+    colour, _, _, nbrs = _colours(pd)
+    best = best_order = None
+    automorphisms = []
+
+    def search(colour, fixed):
+        nonlocal best, best_order
+        cells = {}
+        for p, c in colour.items():
+            cells.setdefault(c, []).append(p)
+        split = min((c for c, members in cells.items() if len(members) > 1), default=None)
+        if split is None:
+            order = sorted(colour, key=colour.get)
+            enc = _encoding(pd, order)
+            if best is None or enc < best:
+                best, best_order = enc, order
+            elif enc == best:
+                automorphisms.append(dict(zip(best_order, order)))
+            return
+        searched = []
+        for p in sorted(cells[split]):
+            orbit = _orbit_finder([g for g in automorphisms if all(g[v] == v for v in fixed)])
+            if any(orbit(p) == orbit(q) for q in searched):
+                continue
+            searched.append(p)
+            search(_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs),
+                   fixed + [p])
+
+    search(colour, [])
     return best
+
+
+def _smallest_map(order: list, candidates: dict, fits) -> dict:
+    """The lexicographically smallest injective map on ``order`` or ``None``.
+
+    Each pants ``p`` of ``order`` (sorted) goes to one of ``candidates[p]``
+    (sorted); ``fits(p, q, vmap)`` decides whether ``p -> q`` extends the
+    partial map ``vmap``.  It may reject only extensions that cannot
+    complete, so the first complete map found is the smallest valid one.
+    """
+    vmap, used, tries = {}, set(), []
+    i = 0
+    while i < len(order):
+        if len(tries) == i:
+            tries.append(iter(candidates[order[i]]))
+        p = order[i]
+        for q in tries[i]:
+            if q not in used and fits(p, q, vmap):
+                vmap[p] = q
+                used.add(q)
+                i += 1
+                break
+        else:
+            tries.pop()
+            if i == 0:
+                return None
+            i -= 1
+            used.discard(vmap.pop(order[i]))
+    return vmap
 
 
 def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
     """A decorated-graph isomorphism of ``a`` onto ``b`` respecting leg labels.
 
-    Returns ``(vertex_map, edge_map)`` or ``None``.  The search is exhaustive
-    over vertex bijections; among the valid isomorphisms the one with the
-    lexicographically smallest vertex map is returned, so the result is
-    deterministic.
+    Returns ``(vertex_map, edge_map)`` or ``None``.  Among the valid
+    isomorphisms the one with the lexicographically smallest vertex map is
+    returned, so the result is deterministic: a depth-first search maps the
+    sorted pants of ``a`` to sorted candidates in ``b`` of the same colour,
+    leg labels and self-loop count, keeping only partial maps that preserve
+    the number of curves between mapped pants.  Parallel curves are matched
+    in sorted id order.
     """
     if a.n_pants != b.n_pants or a.n_curves != b.n_curves:
         return None
     if sorted(a.legs) != sorted(b.legs):
         return None
-    a_pants = sorted(a.pants)
-    b_weights = {
-        c: tuple(sorted((b.edges[c][0][0], b.edges[c][1][0]))) for c in b.edges
+    colour_a, legs_a, loops_a, nbrs_a = _colours(a)
+    colour_b, legs_b, loops_b, nbrs_b = _colours(b)
+    b_pants = sorted(b.pants)
+    # Colours rank signatures within one graph, so between two graphs that
+    # are not isomorphic equal colours need not mean equal legs and loops.
+    candidates = {
+        p: [q for q in b_pants if colour_b[q] == colour_a[p]
+            and legs_b[q] == legs_a[p] and loops_b[q] == loops_a[p]]
+        for p in a.pants
     }
-    for image in itertools.permutations(sorted(b.pants)):
-        vmap = dict(zip(a_pants, image))
-        if any(vmap[a.legs[l][0]] != b.legs[l][0] for l in a.legs):
-            continue
-        # Match parallel-edge classes: the multisets of endpoint pairs must agree.
-        need = {}
-        for c in sorted(a.edges):
-            key = tuple(sorted((vmap[a.edges[c][0][0]], vmap[a.edges[c][1][0]])))
-            need.setdefault(key, []).append(c)
-        have = {}
-        for c in sorted(b.edges):
-            have.setdefault(b_weights[c], []).append(c)
-        if {k: len(v) for k, v in need.items()} != {k: len(v) for k, v in have.items()}:
-            continue
-        emap = {}
-        for key in need:
-            for ca, cb in zip(need[key], have[key]):
-                emap[ca] = cb
-        return vmap, emap
-    return None
+
+    def fits(p, q, vmap):
+        image = set(vmap.values())
+        return (sorted(vmap[r] for r in nbrs_a[p] if r in vmap)
+                == sorted(s for s in nbrs_b[q] if s in image))
+
+    vmap = _smallest_map(sorted(a.pants), candidates, fits)
+    if vmap is None:
+        return None
+    # Match parallel-edge classes: curves with the same image endpoints pair up in id order.
+    need = {}
+    for c in sorted(a.edges):
+        key = tuple(sorted((vmap[a.edges[c][0][0]], vmap[a.edges[c][1][0]])))
+        need.setdefault(key, []).append(c)
+    have = {}
+    for c in sorted(b.edges):
+        have.setdefault(tuple(sorted((b.edges[c][0][0], b.edges[c][1][0]))), []).append(c)
+    emap = {}
+    for key in need:
+        for ca, cb in zip(need[key], have[key]):
+            emap[ca] = cb
+    return vmap, emap
 
 
 def isomorphic(a: PantsDecomposition, b: PantsDecomposition) -> bool:
@@ -400,24 +533,33 @@ def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition
 
     The extension must send each pants to one carrying the image curves in
     its cuffs and must respect leg labels.  Among valid extensions the
-    lexicographically smallest is returned; ``None`` if none exists.
+    lexicographically smallest is returned; ``None`` if none exists.  Each
+    pants may only go to a pants at the ends of all its curves' images and
+    carrying all its legs, which leaves at most two candidates per pants.
     """
     if sorted(curve_map) != sorted(a.edges) or sorted(curve_map.values()) != sorted(b.edges):
         return None
-    a_pants = sorted(a.pants)
-    for image in itertools.permutations(sorted(b.pants)):
-        vmap = dict(zip(a_pants, image))
-        ok = all(vmap[a.legs[l][0]] == b.legs[l][0] for l in a.legs)
-        if ok:
-            for c in sorted(a.edges):
-                ends_a = tuple(sorted(vmap[end[0]] for end in a.edges[c]))
-                ends_b = tuple(sorted(end[0] for end in b.edges[curve_map[c]]))
-                if ends_a != ends_b:
-                    ok = False
-                    break
-        if ok:
-            return vmap
-    return None
+    allowed = {p: set(b.pants) for p in a.pants}
+    incident = {p: [] for p in a.pants}
+    for c, ends in a.edges.items():
+        image = {q for q, _ in b.edges[curve_map[c]]}
+        for p in {p for p, _ in ends}:
+            allowed[p] &= image
+            incident[p].append(c)
+    for label, (p, _) in a.legs.items():
+        allowed[p] &= {b.legs[label][0]} if label in b.legs else set()
+    candidates = {p: sorted(qs) for p, qs in allowed.items()}
+
+    def fits(p, q, vmap):
+        for c in incident[p]:
+            ends = [e for e, _ in a.edges[c]]
+            if all(e == p or e in vmap for e in ends):
+                mapped = sorted(q if e == p else vmap[e] for e in ends)
+                if mapped != sorted(e for e, _ in b.edges[curve_map[c]]):
+                    return False
+        return True
+
+    return _smallest_map(sorted(a.pants), candidates, fits)
 
 
 # ---------------------------------------------------------------------------

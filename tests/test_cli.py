@@ -198,6 +198,24 @@ def test_reports_embed_input_hash_and_are_deterministic(capsys):
     assert doc["timings"] is None
 
 
+def test_certify_timings_split_by_stage(capsys):
+    path = FIXTURES / "f05_identity.json"
+    code, out, _ = run(capsys, "certify", path, "--quiet")
+    timed_code, timed_out, _ = run(capsys, "certify", path, "--quiet", "--timings")
+    assert timed_code == code == 0
+    plain, timed = report_of(out), report_of(timed_out)
+    assert plain["timings"] is None
+    timings = timed.pop("timings")
+    plain.pop("timings")
+    assert timed == plain
+    stages = timings["stages"]
+    assert set(stages) == {"parse", "validate", "homology", "construct",
+                           "local_models", "essentiality", "serialization"}
+    assert all(seconds >= 0 for seconds in stages.values())
+    # Each stage is rounded to the microsecond on its own.
+    assert abs(sum(stages.values()) - timings["seconds"]) <= 1e-5 * len(stages)
+
+
 def _mutated_f05(mutate, tmp_path):
     doc = json.loads((FIXTURES / "f05_identity.json").read_text())
     mutate(doc)

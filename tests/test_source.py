@@ -17,3 +17,22 @@ def test_no_bare_asserts_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"bare asserts in the package: {found}"
+
+
+def test_no_permutation_loops_in_package():
+    # Factorial loops over vertex orders belong in the test oracles
+    # (tests/oracles.py), never on the package's hot path.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if "permutations" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"permutations in the package: {found}"
