@@ -137,57 +137,49 @@ def cmd_construct(args) -> int:
     return _emit(report, EXIT_OK, args, lines)
 
 
-class _StageClock:
-    """Wall-clock seconds of each certify stage, for ``--timings``."""
-
-    def __init__(self):
-        self.started = self.last = time.monotonic()
-        self.stages = {}
-
-    def lap(self, stage: str):
-        now = time.monotonic()
-        self.stages[stage] = round(now - self.last, 6)
-        self.last = now
-
-    def to_json(self) -> dict:
-        return {"seconds": round(self.last - self.started, 6), "stages": dict(self.stages)}
-
-
 def cmd_certify(args) -> int:
-    clock = _StageClock()
+    started = last = time.monotonic()
+    stages = {}
+
+    def lap(stage):
+        nonlocal last
+        now = time.monotonic()
+        stages[stage] = round(now - last, 6)
+        last = now
+
     spec, digest = load_spec_file(args.spec)
     report = _base_report("certify", args.spec, digest, spec)
-    clock.lap("parse")
+    lap("parse")
     validation = validate_spec(spec)
     report["validation"] = validation.to_json()
-    clock.lap("validate")
+    lap("validate")
     if not validation.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"spec invalid: {validation.summary()}"])
     try:
         cert = rank_certificate(spec)
         report["certificate"] = cert.to_json()
-        clock.lap("homology")
+        lap("homology")
         tc = construct_outer(spec)
-        clock.lap("construct")
+        lap("construct")
     except TribranchError as err:
         report["error"] = str(err)
         return _emit(report, EXIT_DOMAIN, args, [f"certification failed: {err}"])
     local = check_local_models(tc)
     report["local_models"] = local.to_json()
-    clock.lap("local_models")
+    lap("local_models")
     if not local.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"local models dirty: {local.summary()}"])
     essentiality = check_essential(tc, cert)
-    clock.lap("essentiality")
+    lap("essentiality")
     doc = complex_document(tc)
     report["inventory"] = tc.inventory()
     report["complex_sha256"] = sha256_hex(canonical_json(doc).encode("utf-8"))
     report["essentiality"] = essentiality.to_json()
-    clock.lap("serialization")
+    lap("serialization")
     if args.timings:
-        report["timings"] = clock.to_json()
+        report["timings"] = {"seconds": round(last - started, 6), "stages": stages}
     verdict = essentiality.verdict
     lines = [
         f"condition ({c.number}) [{c.status}] {c.witness}"

@@ -384,23 +384,6 @@ def _colours(pd: PantsDecomposition):
     return colour, legs, loops, nbrs
 
 
-def _orbit_finder(generators: list):
-    """``find`` for the orbits of the group generated by vertex maps (dicts)."""
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    for perm in generators:
-        for p, q in perm.items():
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-    return find
-
-
 def canonical_key(pd: PantsDecomposition) -> tuple:
     """Canonical form of the decorated graph, equal iff leg-respecting isomorphic.
 
@@ -408,40 +391,27 @@ def canonical_key(pd: PantsDecomposition) -> tuple:
     several pants, each pants of the first such class is given a colour of
     its own in turn and the colouring is refined again.  Every leaf of that
     search orders the pants by colour; the key is the smallest encoding over
-    all leaves.  Two leaves with equal encodings reveal an automorphism, and
-    a branch that an automorphism fixing the individualised pants carries
-    onto a branch already searched holds the same encodings, so it is
-    skipped; without this, symmetric pages would cost one leaf per
-    automorphism.
+    all leaves.  A page with a large automorphism group costs one leaf per
+    automorphism; leg labels pin most pants, so pages seldom have one.
     """
     colour, _, _, nbrs = _colours(pd)
-    best = best_order = None
-    automorphisms = []
+    best = None
 
-    def search(colour, fixed):
-        nonlocal best, best_order
+    def search(colour):
+        nonlocal best
         cells = {}
         for p, c in colour.items():
             cells.setdefault(c, []).append(p)
         split = min((c for c, members in cells.items() if len(members) > 1), default=None)
         if split is None:
-            order = sorted(colour, key=colour.get)
-            enc = _encoding(pd, order)
+            enc = _encoding(pd, tuple(sorted(colour, key=colour.get)))
             if best is None or enc < best:
-                best, best_order = enc, order
-            elif enc == best:
-                automorphisms.append(dict(zip(best_order, order)))
+                best = enc
             return
-        searched = []
-        for p in sorted(cells[split]):
-            orbit = _orbit_finder([g for g in automorphisms if all(g[v] == v for v in fixed)])
-            if any(orbit(p) == orbit(q) for q in searched):
-                continue
-            searched.append(p)
-            search(_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs),
-                   fixed + [p])
+        for p in cells[split]:
+            search(_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs))
 
-    search(colour, [])
+    search(colour)
     return best
 
 
