@@ -47,6 +47,7 @@ from .intalg import (
     SnfResult,
     cokernel,
     determinantal_divisors,
+    invariant_factors,
     min_generators,
     smith_normal_form,
 )

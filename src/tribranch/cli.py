@@ -25,10 +25,10 @@ import sys
 import time
 
 from .complexes import construct_naive, construct_outer, euler_audit, check_local_models
-from .errors import SchemaError, TribranchError
+from .errors import MonodromyError, SchemaError, TribranchError
 from .essential import ESSENTIAL, check_essential
 from .intalg import min_generators
-from .openbook import h1_open_book, rank_certificate, validate_spec
+from .openbook import rank_certificate, validate_spec
 from .schema import (
     REPORT_FORMAT,
     canonical_json,
@@ -87,11 +87,12 @@ def cmd_homology(args) -> int:
     spec, digest = load_spec_file(args.spec)
     report = _base_report("homology", args.spec, digest, spec)
     try:
-        h1 = h1_open_book(spec)
+        cert = rank_certificate(spec)
     except TribranchError as err:
         report["error"] = str(err)
-        return _emit(report, EXIT_DOMAIN, args, [f"invalid monodromy: {err}"])
-    cert = rank_certificate(spec)
+        what = "invalid monodromy" if isinstance(err, MonodromyError) else "homology failed"
+        return _emit(report, EXIT_DOMAIN, args, [f"{what}: {err}"])
+    h1 = cert.h1
     report["homology"] = {
         "h1": h1.to_json(),
         "pretty": str(h1),

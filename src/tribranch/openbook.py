@@ -37,10 +37,11 @@ established by this bound; it never asserts the hypothesis is false.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import MonodromyError, TribranchError
-from .intalg import AbelianGroup, IntMatrix, cokernel, min_generators
+from .intalg import AbelianGroup, IntMatrix, cokernel, fits_str_limit, min_generators
 from .paths import PantsPath, validate_path
 from .reports import ValidationReport
 from .surfaces import SurfaceSig
@@ -123,12 +124,38 @@ def validate_monodromy(page: SurfaceSig, m: MonodromyH1) -> ValidationReport:
                 "boundary-class",
                 f"boundary class c_{i - 2 * page.genus + 1} not fixed",
             )
-    j = intersection_form(page)
-    if mat.transpose().mul(j).mul(mat) != j:
+    if not preserves_intersection_form(page, mat):
         report.add("intersection-form", "action does not preserve the intersection form")
-    if k and abs(mat.det()) != 1:
-        report.add("determinant", f"determinant {mat.det()} is not +-1")
+    det = mat.det() if k else 1
+    if abs(det) != 1:
+        shown = det if fits_str_limit(det) else "with too many digits to print"
+        report.add("determinant", f"determinant {shown} is not +-1")
     return report
+
+
+def preserves_intersection_form(page: SurfaceSig, mat: IntMatrix) -> bool:
+    """Whether M^T J M = J for the intersection form J of the page.
+
+    Entry (p, q) of M^T J M is the intersection number of columns p and q
+    of the k x k matrix M.  Only the g symplectic pairs of rows (a_i, b_i)
+    contribute to it, so row p is the sum over i of
+    M[a_i][p] * M[b_i] - M[b_i][p] * M[a_i]: O(g k^2) in all, against the
+    O(k^3) of two generic products.
+    """
+    k = mat.rows
+    pairs = [(mat.entries[2 * i], mat.entries[2 * i + 1]) for i in range(page.genus)]
+    for p in range(k):
+        row = [0] * k
+        for a, b in pairs:
+            ap, bp = a[p], b[p]
+            if ap or bp:
+                row = [x + ap * y - bp * z for x, y, z in zip(row, b, a)]
+        form_row = [0] * k
+        if p < 2 * page.genus:
+            form_row[p ^ 1] = 1 if p % 2 == 0 else -1
+        if row != form_row:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -251,6 +278,13 @@ class RankCertificate:
 def rank_certificate(spec: OpenBookSpec) -> RankCertificate:
     """Certify rank pi_1(M) >= 4 through the first homology lower bound."""
     h1 = h1_open_book(spec)
+    # The certificate is written out in decimal, which Python refuses for
+    # integers beyond its int-to-str digit limit.
+    if not all(fits_str_limit(d) for d in h1.torsion):
+        raise TribranchError(
+            "H_1(M) has a torsion order with more decimal digits than "
+            f"Python's limit of {sys.get_int_max_str_digits()}; it cannot be reported"
+        )
     bound = min_generators(h1)
     verdict = CERTIFIED if bound >= RANK_THRESHOLD else UNCERTIFIED
     return RankCertificate(h1=h1, lower_bound=bound, verdict=verdict)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 from .errors import SchemaError, TribranchError
 from .intalg import IntMatrix
@@ -224,6 +225,14 @@ def load_spec_file(path: str):
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SchemaError(f"{path} is not valid JSON: {err}") from err
+    except ValueError as err:
+        # The one other ValueError of json.loads: Python's digit limit.
+        raise SchemaError(
+            f"{path} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from err
+    except RecursionError as err:
+        raise SchemaError(f"{path} nests lists or objects too deeply") from err
     return parse_spec(doc), sha256_hex(data)
 
 

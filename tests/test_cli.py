@@ -238,19 +238,82 @@ def _unknown_format(doc):
     doc["format"] = "tribranch-spec/2"
 
 
-@pytest.mark.parametrize("mutate", [_bad_pairing, _duplicate_pants, _unknown_format])
-def test_malformed_spec_is_a_schema_failure(mutate, tmp_path):
-    spec = _mutated_f05(mutate, tmp_path)
+def _run_cli(*argv):
     env = dict(os.environ)
     src = str(Path(tribranch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tribranch", "certify", str(spec), "--quiet"],
+    return subprocess.run(
+        [sys.executable, "-m", "tribranch", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("mutate", [_bad_pairing, _duplicate_pants, _unknown_format])
+def test_malformed_spec_is_a_schema_failure(mutate, tmp_path):
+    spec = _mutated_f05(mutate, tmp_path)
+    proc = _run_cli("certify", spec, "--quiet")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# Beyond Python's default limit of 4300 digits for int <-> str conversion.
+_HUGE = "1" + "0" * 4399
+
+
+@pytest.mark.parametrize("text", [
+    # 10^4400 + 5 and 10^4400 + 6: the parser cannot read them.
+    '{"page": {"genus": 1, "boundary": 1}, "monodromy": {"h1_matrix": '
+    f'[[1, 1], [{_HUGE}5, {_HUGE}6]]}}}}',
+    '{"page": {"genus": 0, "boundary": 2}, "monodromy": {"h1_matrix": '
+    + "[" * 100000 + "]" * 100000 + "}}",
+], ids=["huge_integer", "deep_nesting"])
+def test_unreadable_spec_is_a_schema_failure(text, tmp_path):
+    spec = tmp_path / "unreadable.json"
+    spec.write_text(text)
+    for verb in ("validate", "homology", "certify"):
+        proc = _run_cli(verb, spec, "--quiet")
+        assert proc.returncode == 2, (verb, proc.stderr[-300:])
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+def test_torsion_too_long_to_print_is_a_domain_failure(tmp_path):
+    # Two handle blocks [[1, 1], [n, n + 1]] with coprime n of 2501 digits:
+    # H_1 = Z/(n1 n2), whose order has about 5000 digits.
+    n1, n2 = 10 ** 2500 + 1, 10 ** 2500 + 3
+    matrix = [[1, 1, 0, 0], [n1, n1 + 1, 0, 0], [0, 0, 1, 1], [0, 0, n2, n2 + 1]]
+    spec = tmp_path / "huge_torsion.json"
+    spec.write_text(json.dumps({"page": {"genus": 2, "boundary": 1},
+                                "monodromy": {"h1_matrix": matrix}}))
+    assert _run_cli("validate", spec, "--quiet").returncode == 0
+    for verb in ("homology", "certify"):
+        proc = _run_cli(verb, spec)
+        assert proc.returncode == 1, (verb, proc.stderr[-300:])
+        assert "Traceback" not in proc.stderr
+        assert "digits" in report_of(proc.stdout)["error"]
+        assert "digits" in proc.stderr
+
+
+def test_homology_computes_h1_once(monkeypatch, capsys):
+    from tribranch import cli, openbook
+
+    calls = {"h1_open_book": 0, "validate_monodromy": 0}
+    for name in calls:
+        original = getattr(openbook, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        # Rebind every module-level name that refers to the function.
+        for module in (cli, openbook):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "homology", FIXTURES / "f05_identity.json", "--quiet")
+    assert code == 0
+    assert report_of(out)["certificate"]["lower_bound"] == 4
+    assert calls == {"h1_open_book": 1, "validate_monodromy": 1}
 
 
 def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):

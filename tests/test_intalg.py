@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import pytest
@@ -8,9 +9,11 @@ from tribranch import (
     TribranchError,
     cokernel,
     determinantal_divisors,
+    invariant_factors,
     min_generators,
     smith_normal_form,
 )
+from tribranch import intalg
 
 from genutils import make_rng, random_matrix
 
@@ -94,6 +97,67 @@ def test_product_of_factors_matches_determinantal_divisor_chain():
             assert product == divisors[k]
 
 
+def _edge_case_matrices(rng):
+    """Seeded matrices of every shape the elimination treats specially."""
+    yield IntMatrix(0, 0, ())
+    for n in range(1, 5):
+        yield IntMatrix(0, n, ())
+        yield IntMatrix.from_rows([[]] * n)
+        yield IntMatrix.zeros(n, n + 1)
+        yield IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n + 2)]])
+        yield IntMatrix.from_rows([[rng.randint(-9, 9)] for _ in range(n + 2)])
+    for _ in range(80):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        entries = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.randrange(4)
+        if kind == 0:
+            entries[rng.randrange(rows)] = [0] * cols
+            for row in entries:
+                row[rng.randrange(cols)] = 0
+        elif kind == 1:
+            entries = [[-abs(x) - 1 for x in row] for row in entries]
+        elif kind == 2:
+            entries = [[rng.choice((2, 4, 6, 12)) * x for x in row] for row in entries]
+        yield IntMatrix.from_rows(entries)
+
+
+def test_invariant_factors_equal_snf_diagonal_and_minor_oracle():
+    rng = make_rng(24)
+    shapes = set()
+    for a in _edge_case_matrices(rng):
+        shapes.add((a.rows, a.cols))
+        factors = invariant_factors(a)
+        assert factors == smith_normal_form(a).invariant_factors, a
+        assert list(factors) == oracle_invariant_factors(a), a
+    assert {(0, 3), (3, 0), (1, 5), (5, 1)} <= shapes
+
+
+def test_invariant_factors_equal_snf_diagonal_on_larger_matrices():
+    rng = make_rng(25)
+    for _ in range(40):
+        a = random_matrix(rng, max_dim=9, lo=-30, hi=30)
+        assert invariant_factors(a) == smith_normal_form(a).invariant_factors
+
+
+def test_cokernel_never_runs_the_transform_tracking_snf(monkeypatch):
+    rng = make_rng(26)
+    matrices = [random_matrix(rng, max_dim=6) for _ in range(30)]
+    expected = []
+    for a in matrices:
+        nonzero = [d for d in smith_normal_form(a).invariant_factors if d]
+        torsion = tuple(d for d in nonzero if d > 1)
+        expected.append(AbelianGroup(a.rows - len(nonzero), torsion))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(intalg, "smith_normal_form", counted)
+    assert [cokernel(a) for a in matrices] == expected
+    assert calls == []
+
+
 def test_cokernel_examples():
     assert cokernel(IntMatrix.zeros(3, 3)) == AbelianGroup(3, ())
     assert cokernel(IntMatrix.identity(4)) == AbelianGroup(0, ())
@@ -112,6 +176,18 @@ def test_cokernel_invariant_under_permutations():
         rng.shuffle(cols)
         b = IntMatrix.from_rows([[row[j] for j in cols] for row in rows])
         assert cokernel(a) == cokernel(b)
+
+
+def test_fits_str_limit_agrees_with_str():
+    limit = sys.get_int_max_str_digits()
+    for x in (0, 7, -10 ** 20, 8 ** limit - 1, 8 ** limit, 10 ** limit - 1,
+              -(10 ** limit - 1), 10 ** limit, -(10 ** limit), 10 ** (2 * limit)):
+        try:
+            str(x)
+            printable = True
+        except ValueError:
+            printable = False
+        assert intalg.fits_str_limit(x) == printable
 
 
 def test_min_generators():

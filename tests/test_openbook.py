@@ -26,7 +26,11 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
-from tribranch.openbook import _stabilized_basis_change, _stabilized_basis_inverse
+from tribranch.openbook import (
+    _stabilized_basis_change,
+    _stabilized_basis_inverse,
+    preserves_intersection_form,
+)
 
 from genutils import make_rng, random_monodromy, random_page
 
@@ -84,6 +88,58 @@ def test_random_transvection_products_are_valid():
         page = random_page(rng, chi_max=0)
         m = random_monodromy(page, rng, twists=4)
         assert validate_monodromy(page, m).ok, (page, m.matrix.to_json())
+
+
+def _generic_validation(page, mat):
+    """The codes validate_monodromy reports, with the generic form check."""
+    k = h1_rank(page)
+    if (mat.rows, mat.cols) != (k, k):
+        return ["matrix-dimension"]
+    codes = ["boundary-class" for i in range(2 * page.genus, k)
+             if mat.column(i) != IntMatrix.identity(k).column(i)]
+    j = intersection_form(page)
+    if mat.transpose().mul(j).mul(mat) != j:
+        codes.append("intersection-form")
+    if k and abs(mat.det()) != 1:
+        codes.append("determinant")
+    return codes
+
+
+def test_form_check_agrees_with_generic_product():
+    rng = make_rng(34)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        page = random_page(rng, g_max=3, b_max=4, chi_max=0)
+        k = h1_rank(page)
+        mat = random_monodromy(page, rng, twists=rng.randint(0, 4)).matrix
+        kind = rng.randrange(3)
+        if kind and k:
+            rows = [list(row) for row in mat.entries]
+            i, c = rng.randrange(k), rng.randrange(k)
+            if kind == 1:
+                rows[i][c] += rng.choice((-2, -1, 1, 2))
+            else:
+                rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            mat = IntMatrix.from_rows(rows)
+        j = intersection_form(page)
+        generic = mat.transpose().mul(j).mul(mat) == j
+        assert preserves_intersection_form(page, mat) == generic, (page, mat)
+        seen[generic] += 1
+        report = validate_monodromy(page, MonodromyH1(mat))
+        assert report.codes() == _generic_validation(page, mat)
+        if "determinant" in report.codes():
+            det = mat.det()
+            assert report.entries[-1].message == f"determinant {det} is not +-1"
+    assert min(seen.values()) >= 30, seen
+
+
+def test_huge_determinant_is_reported_without_its_digits():
+    page = SurfaceSig(1, 1)
+    big = 10 ** 4000
+    mat = IntMatrix.from_rows([[big, 0], [0, big]])
+    report = validate_monodromy(page, MonodromyH1(mat))
+    assert report.codes() == ["intersection-form", "determinant"]
+    assert "too many digits" in report.entries[-1].message
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +223,46 @@ def test_h1_invariant_under_boundary_fixing_conjugation():
         if not validate_monodromy(page, MonodromyH1(conjugated)).ok:
             continue
         assert h1_open_book(spec) == h1_open_book(spec2)
+
+
+def test_h1_of_dense_rank_60_conjugate_in_closed_form():
+    # M = P D P^-1 on F(20, 21): D is the identity on the boundary classes
+    # and the block [[1, 1], [t - 2, t - 1]] on each handle, whose part of
+    # M - 1 has cokernel Z/(t - 2); P is a product of 60 transvections
+    # T = 1 + c (Jc)^T, applied as rank-one updates, and P^-1 the reversed
+    # product of their inverses 1 - c (Jc)^T.  ``shifts`` lists t - 2: the
+    # two zeros add to the free rank, and the other torsion orders already
+    # divide one another in sorted order.
+    rng = make_rng(35)
+    g, b = 20, 21
+    page = SurfaceSig(g, b)
+    k = h1_rank(page)
+    shifts = [0, 0, 1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1]
+    j = intersection_form(page).entries
+    p = [[int(r == s) for s in range(k)] for r in range(k)]
+    p_inv = [row[:] for row in p]
+    for _ in range(k):
+        c = [rng.choice((-1, 0, 1)) for _ in range(k)]
+        jc = [sum(x * y for x, y in zip(row, c)) for row in j]
+        pc = [sum(x * y for x, y in zip(row, c)) for row in p]
+        p = [[x + pc[r] * jc[s] for s, x in enumerate(row)] for r, row in enumerate(p)]
+        jc_p_inv = [sum(jc[r] * p_inv[r][s] for r in range(k)) for s in range(k)]
+        p_inv = [[x - c[r] * jc_p_inv[s] for s, x in enumerate(row)]
+                 for r, row in enumerate(p_inv)]
+    pd = [row[:] for row in p]
+    for i, n in enumerate(shifts):
+        for row in pd:
+            x, y = row[2 * i], row[2 * i + 1]
+            row[2 * i], row[2 * i + 1] = x + y * n, x + y * (n + 1)
+    m = IntMatrix.from_rows(pd).mul(IntMatrix.from_rows(p_inv))
+    assert max(abs(x) for row in m.entries for x in row) > 10 ** 6
+    spec = OpenBookSpec(page=page, monodromy=MonodromyH1(m))
+    begin = time.perf_counter()
+    h1 = h1_open_book(spec)
+    spent = time.perf_counter() - begin
+    assert h1 == AbelianGroup(b - 1 + 2, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
+    # Carrying the transforms U and V takes over 20 s here.
+    assert spent < 10.0, f"H_1 at rank 60 took {spent:.2f}s"
 
 
 # ---------------------------------------------------------------------------
