@@ -18,6 +18,7 @@ from tribranch import (
     construct_outer,
     euler_audit,
     standard_decomposition,
+    validate_spec,
 )
 
 
@@ -49,7 +50,7 @@ print("=" * 70)
 print("Outer construction on the four-holed sphere (single curve)")
 print("=" * 70)
 spec = degenerate_spec(0, 4)
-tc = construct_outer(spec)
+tc = construct_outer(validate_spec(spec))
 print("  inventory:", tc.inventory())
 print("  branches by taxonomy:")
 for branch in tc.branches:

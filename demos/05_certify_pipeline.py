@@ -23,6 +23,7 @@ from tribranch import (
     construct_outer,
     rank_certificate,
     standard_decomposition,
+    validate_spec,
 )
 from tribranch.schema import canonical_json, spec_to_json
 
@@ -43,7 +44,7 @@ for g, b, name in [(0, 5, "rank-four planar book"),
     spec = degenerate_spec(g, b, name)
     cert = rank_certificate(spec)
     print(" ", cert.statement)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     print("  inventory:", tc.inventory())
     print("  local models:", check_local_models(tc).summary())
     report = check_essential(tc, cert)

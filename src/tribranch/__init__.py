@@ -54,6 +54,7 @@ from .intalg import (
 from .openbook import (
     CERTIFIED,
     UNCERTIFIED,
+    CheckedSpec,
     MonodromyH1,
     OpenBookSpec,
     RankCertificate,

@@ -74,7 +74,7 @@ def _emit(report: dict, exit_code: int, args, human_lines) -> int:
 def cmd_validate(args) -> int:
     spec, digest = load_spec_file(args.spec)
     report = _base_report("validate", args.spec, digest, spec)
-    result = validate_spec(spec)
+    result = validate_spec(spec).report
     report["validation"] = result.to_json()
     report["ok"] = result.ok
     lines = ["validation: clean"] if result.ok else [
@@ -107,13 +107,13 @@ def cmd_construct(args) -> int:
     spec, digest = load_spec_file(args.spec)
     report = _base_report("construct", args.spec, digest, spec)
     report["mode"] = args.mode
-    validation = validate_spec(spec)
-    report["validation"] = validation.to_json()
-    if not validation.ok:
+    checked = validate_spec(spec)
+    report["validation"] = checked.report.to_json()
+    if not checked.report.ok:
         return _emit(report, EXIT_DOMAIN, args,
-                     [f"spec invalid: {validation.summary()}"])
+                     [f"spec invalid: {checked.report.summary()}"])
     try:
-        tc = construct_naive(spec) if args.mode == "naive" else construct_outer(spec)
+        tc = construct_naive(spec) if args.mode == "naive" else construct_outer(checked)
     except TribranchError as err:
         report["error"] = str(err)
         return _emit(report, EXIT_DOMAIN, args, [f"construction failed: {err}"])
@@ -151,17 +151,17 @@ def cmd_certify(args) -> int:
     spec, digest = load_spec_file(args.spec)
     report = _base_report("certify", args.spec, digest, spec)
     lap("parse")
-    validation = validate_spec(spec)
-    report["validation"] = validation.to_json()
+    checked = validate_spec(spec)
+    report["validation"] = checked.report.to_json()
     lap("validate")
-    if not validation.ok:
+    if not checked.report.ok:
         return _emit(report, EXIT_DOMAIN, args,
-                     [f"spec invalid: {validation.summary()}"])
+                     [f"spec invalid: {checked.report.summary()}"])
     try:
         cert = rank_certificate(spec)
         report["certificate"] = cert.to_json()
         lap("homology")
-        tc = construct_outer(spec)
+        tc = construct_outer(checked)
         lap("construct")
     except TribranchError as err:
         report["error"] = str(err)

@@ -44,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, TribranchError
-from .openbook import OpenBookSpec, validate_spec
-from .paths import closure_vertex_map, common_curves, replay
+from .openbook import CheckedSpec, OpenBookSpec
+from .paths import common_curves
 from .reports import ValidationReport
-from .surfaces import SurfaceSig, cut_structure
+from .surfaces import SurfaceSig, connected, cut_structure
 
 # Branch taxonomy.
 HORIZONTAL_ANNULUS = "HorizontalAnnulus"
@@ -183,32 +183,10 @@ class TribranchedComplex:
             "block_kinds": dict(sorted(self.block_counts().items())),
         }
 
-    def adjacency_graph(self):
-        """Branches and circles with germ edges, for connectivity checks."""
-        nodes = {b.id for b in self.branches} | {c.id for c in self.circles}
-        edges = []
-        for c in self.circles:
-            for branch_id, _slot in c.germs:
-                edges.append((c.id, branch_id))
-        return nodes, edges
-
     def is_connected(self) -> bool:
-        nodes, edges = self.adjacency_graph()
-        if not nodes:
-            return True
-        nbrs = {n: set() for n in nodes}
-        for a, b in edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        seen = set()
-        stack = [min(nodes)]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(nbrs[x])
-        return len(seen) == len(nodes)
+        """Whether branches and circles, joined by the germs, form one piece."""
+        nodes = [b.id for b in self.branches] + [c.id for c in self.circles]
+        return connected(nodes, [(c.id, g[0]) for c in self.circles for g in c.germs])
 
     def to_json(self) -> dict:
         return {
@@ -289,18 +267,21 @@ def construct_naive(spec: OpenBookSpec) -> TribranchedComplex:
 # ---------------------------------------------------------------------------
 
 
-def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
+def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
     """The essential candidate: pages along a pants path plus boundary tori.
 
-    See the module docstring for the geometry.  Branch taxonomy of the
-    result: horizontal annuli (one per shared curve per level), push-off
-    annuli (curve both receives and launches at a level), page pieces
-    (thrice punctured spheres, or the four-holed sphere / one-holed torus
-    support of a move when it stays uncut), and torus annuli (page gaps on
-    the boundary tori).  Blocks: one product block per component of the page
-    cut along each shared-curve system, plus one solid torus per boundary
-    circle.
+    ``checked`` is the result of :func:`validate_spec`; the construction
+    builds on the decompositions and the closure vertex map that its path
+    check replayed.  See the module docstring for the geometry.  Branch
+    taxonomy of the result: horizontal annuli (one per shared curve per
+    level), push-off annuli (curve both receives and launches at a level),
+    page pieces (thrice punctured spheres, or the four-holed sphere /
+    one-holed torus support of a move when it stays uncut), and torus annuli
+    (page gaps on the boundary tori).  Blocks: one product block per
+    component of the page cut along each shared-curve system, plus one solid
+    torus per boundary circle.
     """
+    spec = checked.spec
     page = spec.page
     if page.euler_char >= 0:
         raise ConstructionError(
@@ -309,12 +290,11 @@ def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
         )
     if spec.pants_path is None:
         raise ConstructionError("pants data required for outer construction")
-    spec_report = validate_spec(spec)
-    if not spec_report.ok:
-        raise ConstructionError(f"invalid spec: {spec_report.summary()}")
+    if not checked.report.ok:
+        raise ConstructionError(f"invalid spec: {checked.report.summary()}")
 
     path = spec.pants_path
-    decomps = replay(path)
+    decomps = checked.decomps
     n_moves = len(path.moves)
     b = page.n_boundary
 
@@ -338,11 +318,9 @@ def construct_outer(spec: OpenBookSpec) -> TribranchedComplex:
 
     closure = dict(path.closure)
     inv_closure = {v: k for k, v in closure.items()}
-    # Pants correspondence across the wrap: final-level pants -> start pants.
-    vmap_final_to_start = closure_vertex_map(path, decomps)
-    if vmap_final_to_start is None:
-        raise ConstructionError("closure does not extend to a graph isomorphism")
-    vmap_start_to_final = {v: k for k, v in vmap_final_to_start.items()}
+    # Pants correspondence across the wrap: start pants -> final-level pants.
+    # A clean report means the closure extended to this vertex map.
+    vmap_start_to_final = {v: k for k, v in checked.closure_map.items()}
 
     # Departing curves and arriving push-offs per level, in that level's ids.
     dep = [set(d_sets[k]) for k in range(levels)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import MonodromyError, TribranchError
 from .intalg import AbelianGroup, IntMatrix, cokernel, fits_str_limit, min_generators
-from .paths import PantsPath, validate_path
+from .paths import PantsPath, check_path
 from .reports import ValidationReport
 from .surfaces import SurfaceSig
 
@@ -181,12 +181,31 @@ class OpenBookSpec:
         return IntMatrix.zeros(h1_rank(self.page), self.page.n_boundary)
 
 
-def validate_spec(spec: OpenBookSpec) -> ValidationReport:
-    """Validate the page, monodromy, winding shape and (if present) the path."""
+@dataclass(frozen=True)
+class CheckedSpec:
+    """A spec with its validation report and the path replay behind it.
+
+    ``decomps`` are the decompositions C_0, ..., C_n that the path check
+    replayed and ``closure_map`` the closure's vertex map C_n -> C_0.  Both
+    are None without a pants path, and may be partial or None when the
+    report is not clean.
+    """
+
+    spec: OpenBookSpec
+    report: ValidationReport
+    decomps: list = None
+    closure_map: dict = None
+
+
+def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
+    """Validate the page, monodromy, winding shape and (if present) the path.
+
+    The result keeps the path replay, which :func:`construct_outer` builds on.
+    """
     report = ValidationReport()
     if spec.page.n_boundary < 1:
         report.add("page-boundary", "page must have at least one boundary circle")
-        return report
+        return CheckedSpec(spec, report)
     report.extend(validate_monodromy(spec.page, spec.monodromy))
     # Default windings are zero and shaped to the page; building them just to
     # check that would allocate a matrix as large as the declared page.
@@ -198,6 +217,7 @@ def validate_spec(spec: OpenBookSpec) -> ValidationReport:
                 "windings-shape",
                 f"windings are {w.rows}x{w.cols}, expected {k}x{spec.page.n_boundary}",
             )
+    decomps = closure_map = None
     if spec.pants_path is not None:
         path_sig = spec.pants_path.start.surface_sig()
         if path_sig != spec.page:
@@ -205,10 +225,10 @@ def validate_spec(spec: OpenBookSpec) -> ValidationReport:
                 "path-page",
                 f"pants path lives on {path_sig}, spec page is {spec.page}",
             )
-        path_report = validate_path(spec.pants_path, spec.monodromy)
+        path_report, decomps, closure_map = check_path(spec.pants_path, spec.monodromy)
         for issue in path_report.entries:
             report.add(issue.code, issue.message, f"pants_path {issue.where}".strip())
-    return report
+    return CheckedSpec(spec, report, decomps, closure_map)
 
 
 def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:

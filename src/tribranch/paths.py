@@ -43,8 +43,10 @@ from .surfaces import (
     Multicurve,
     PantsDecomposition,
     canonical_key,
+    connected,
     find_isomorphism,
     validate_pants,
+    vertex_map_from_curve_bijection,
 )
 
 A_MOVE = "A"
@@ -204,10 +206,9 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
     legs = {}
     for label, cuff in pd.legs.items():
         legs[label] = placement.get(cuff, cuff)
-    out = PantsDecomposition(pants=pd.pants, edges=edges, legs=legs)
-    if not out.is_connected():
-        raise MoveError("re-pairing disconnects the graph")
-    return out
+    # Two-and-two keeps the graph connected: the two new pants are joined by
+    # the fresh curve and keep all four support cuffs between them.
+    return PantsDecomposition(pants=pd.pants, edges=edges, legs=legs)
 
 
 def _degenerate_pairing_disconnects(pd, removed, pairing) -> bool:
@@ -222,25 +223,14 @@ def _degenerate_pairing_disconnects(pd, removed, pairing) -> bool:
         return False
     (u, _), (v, _) = pd.edges[removed]
     lone = small[0]
-    nbrs = {p: set() for p in pd.pants}
-    for curve in pd.edges:
-        if curve == removed:
-            continue
-        (a, sa), (b, sb) = pd.edges[curve]
-        # Endpoints in the support move to the pants of their pairing group.
-        a2 = u if (a, sa) == lone else (v if (a, sa) in _support_cuffs(pd, removed) else a)
-        b2 = u if (b, sb) == lone else (v if (b, sb) in _support_cuffs(pd, removed) else b)
-        nbrs[a2].add(b2)
-        nbrs[b2].add(a2)
-    seen = set()
-    stack = [min(pd.pants)]
-    while stack:
-        p = stack.pop()
-        if p in seen:
-            continue
-        seen.add(p)
-        stack.extend(nbrs[p])
-    return len(seen) != len(pd.pants)
+    support = _support_cuffs(pd, removed)
+
+    def moved(cuff):
+        # Support cuffs move to the pants of their pairing group.
+        return u if cuff == lone else (v if cuff in support else cuff[0])
+
+    pairs = [(moved(a), moved(b)) for curve, (a, b) in pd.edges.items() if curve != removed]
+    return not connected(pd.pants, pairs)
 
 
 def common_curves(c_k: PantsDecomposition, c_next: PantsDecomposition) -> Multicurve:
@@ -272,38 +262,42 @@ def replay(path: PantsPath) -> list:
     return decomps
 
 
-def closure_vertex_map(path: PantsPath, decomps=None):
-    """Extend the closure curve bijection C_n -> C_0 to a vertex map, or None."""
-    from .surfaces import vertex_map_from_curve_bijection
-
-    if decomps is None:
-        decomps = replay(path)
+def closure_vertex_map(path: PantsPath, decomps: list):
+    """The vertex map C_n -> C_0 extending the closure of ``decomps``, or None."""
     return vertex_map_from_curve_bijection(decomps[-1], decomps[0], dict(path.closure))
 
 
 def validate_path(path: PantsPath, monodromy=None) -> ValidationReport:
-    """Check every path invariant, reporting failures with their step index.
+    """The report of :func:`check_path`: every path invariant, failures by step index."""
+    return check_path(path, monodromy)[0]
+
+
+def check_path(path: PantsPath, monodromy=None):
+    """Check every path invariant; return ``(report, decomps, closure_map)``.
 
     Checks, in order: the start decomposition is valid; every move applies
     and every intermediate decomposition is valid; the closure is a curve
     bijection from C_n onto C_0 extending to a decorated-graph isomorphism
     that respects leg labels.  When a monodromy action matrix is supplied its
-    size is checked against the surface of the path.
+    size is checked against the surface of the path.  Failures carry their
+    step index.  ``decomps`` are the replayed C_0, ..., C_n, cut short at a
+    failing move; ``closure_map`` is the closure's vertex map C_n -> C_0, or
+    None when the closure was not checked or does not extend.
     """
     report = ValidationReport()
+    decomps = [path.start]
     sig = path.start.surface_sig()
     report.extend(validate_pants(sig, path.start))
     if not report.ok:
         report.add("start-invalid", "start decomposition invalid; replay skipped", "step 0")
-        return report
+        return report, decomps, None
 
-    decomps = [path.start]
     for k, mv in enumerate(path.moves):
         try:
             nxt = apply_move(decomps[-1], mv)
         except MoveError as err:
             report.add("move-failed", str(err), f"step {k}")
-            return report
+            return report, decomps, None
         step_report = validate_pants(sig, nxt)
         for issue in step_report.entries:
             report.add(issue.code, issue.message, f"step {k}")
@@ -315,13 +309,14 @@ def validate_path(path: PantsPath, monodromy=None) -> ValidationReport:
         report.add("closure-domain",
                    "closure keys differ from the curves of the final system",
                    "closure")
-        return report
+        return report, decomps, None
     if sorted(closure.values()) != sorted(path.start.edges):
         report.add("closure-range",
                    "closure values differ from the curves of the start system",
                    "closure")
-        return report
-    if closure_vertex_map(path, decomps) is None:
+        return report, decomps, None
+    closure_map = closure_vertex_map(path, decomps)
+    if closure_map is None:
         # Distinguish the common leg-adjacency mistake for a sharper message.
         if _breaks_leg_adjacency(final, path.start, closure):
             report.add("closure-legs", "closure not leg-preserving", "closure")
@@ -340,7 +335,7 @@ def validate_path(path: PantsPath, monodromy=None) -> ValidationReport:
                 f"expected {k}x{k} for {sig}",
                 "monodromy",
             )
-    return report
+    return report, decomps, closure_map
 
 
 def _breaks_leg_adjacency(final, start, closure) -> bool:

@@ -66,6 +66,26 @@ def euler_char(sig: SurfaceSig) -> int:
     return sig.euler_char
 
 
+def connected(nodes, pairs) -> bool:
+    """Whether ``nodes`` joined by the ``pairs`` form one connected graph.
+
+    Pairs with an end outside ``nodes`` are ignored; an empty graph counts
+    as connected.
+    """
+    nbrs = {n: [] for n in nodes}
+    for a, b in pairs:
+        if a in nbrs and b in nbrs:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    seen, stack = set(), list(nbrs)[:1]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(nbrs[n])
+    return len(seen) == len(nbrs)
+
+
 @dataclass(frozen=True)
 class PantsDecomposition:
     """A pants decomposition as a decorated trivalent multigraph.
@@ -121,29 +141,6 @@ class PantsDecomposition:
         for label in sorted(self.legs):
             contents.setdefault(self.legs[label], []).append(("leg", label))
         return contents
-
-    def adjacency(self):
-        """Pants -> sorted list of neighbouring pants (via curves, multi-edges once)."""
-        nbrs = {p: set() for p in self.pants}
-        for (u, _), (v, _) in self.edges.values():
-            if u in nbrs and v in nbrs:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-        return {p: sorted(n) for p, n in nbrs.items()}
-
-    def is_connected(self) -> bool:
-        if not self.pants:
-            return False
-        nbrs = self.adjacency()
-        seen = set()
-        stack = [min(self.pants)]
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(nbrs[p])
-        return len(seen) == len(self.pants)
 
     def surface_sig(self) -> SurfaceSig:
         """The surface this decomposition lives on, read off the graph."""
@@ -217,7 +214,7 @@ def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
         )
     if e != 3 * sig.genus + sig.n_boundary - 3:
         report.add("curve-count", f"E = {e}, expected {3*sig.genus + sig.n_boundary - 3}")
-    if pd.pants and not pd.is_connected():
+    if pd.pants and not connected(pd.pants, [(u, v) for (u, _), (v, _) in pd.edges.values()]):
         report.add("disconnected", "the pants graph is not connected")
     elif pd.pants and e - v + 1 != sig.genus:
         report.add("cycle-rank", f"cycle rank {e - v + 1} differs from genus {sig.genus}")

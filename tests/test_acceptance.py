@@ -15,6 +15,7 @@ from tribranch import (
     construct_outer,
     h1_open_book,
     stabilize,
+    validate_spec,
 )
 from tribranch.cli import main
 
@@ -102,7 +103,7 @@ def test_acceptance_4_outer_taxonomy_suite():
     for i in range(50):
         spec = random_outer_spec(rng, g_max=2, b_max=4, max_moves=6)
         assert len(spec.pants_path.moves) <= 6
-        tc = construct_outer(spec)
+        tc = construct_outer(validate_spec(spec))
         max_levels = max(max_levels, tc.meta["levels"])
         for branch in tc.branches:
             assert branch.sig.euler_char in (0, -1, -2), branch

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import tribranch
+from genutils import random_outer_spec
 from tribranch.cli import main
+from tribranch.schema import canonical_json, spec_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -295,25 +298,74 @@ def test_torsion_too_long_to_print_is_a_domain_failure(tmp_path):
         assert "digits" in proc.stderr
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the package functions ``module.function`` in ``names``.
+
+    Every module-level name that refers to a counted function is rebound, so
+    calls made through ``from .x import y`` bindings are counted too.
+    """
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name == "tribranch" or name.startswith("tribranch.")]
+    calls = {}
+    for dotted in names:
+        module_name, attr = dotted.split(".")
+        original = getattr(sys.modules[f"tribranch.{module_name}"], attr)
+        calls[attr] = 0
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
 def test_homology_computes_h1_once(monkeypatch, capsys):
-    from tribranch import cli, openbook
-
-    calls = {"h1_open_book": 0, "validate_monodromy": 0}
-    for name in calls:
-        original = getattr(openbook, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        # Rebind every module-level name that refers to the function.
-        for module in (cli, openbook):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = _count_calls(monkeypatch, "openbook.h1_open_book", "openbook.validate_monodromy")
     code, out, _ = run(capsys, "homology", FIXTURES / "f05_identity.json", "--quiet")
     assert code == 0
     assert report_of(out)["certificate"]["lower_bound"] == 4
     assert calls == {"h1_open_book": 1, "validate_monodromy": 1}
+
+
+@pytest.mark.parametrize("verb, monodromy_checks, local_model_checks", [
+    ("certify", 2, 2),
+    ("construct", 1, 0),
+])
+def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_checks,
+                                         monkeypatch, tmp_path, capsys):
+    rng = random.Random(20261018)
+    spec = random_outer_spec(rng)
+    while len(spec.pants_path.moves) < 2:
+        spec = random_outer_spec(rng)
+    n_moves = len(spec.pants_path.moves)
+    path = tmp_path / "moves.json"
+    path.write_text(canonical_json(spec_to_json(spec)))
+    argv = [verb, path, "--quiet"]
+    if verb == "construct":
+        argv += ["--mode", "outer", "--out", tmp_path / "complex.json"]
+    calls = _count_calls(
+        monkeypatch,
+        "openbook.validate_spec",
+        "openbook.validate_monodromy",
+        "paths.apply_move",
+        "surfaces.validate_pants",
+        "surfaces.vertex_map_from_curve_bijection",
+        "complexes.check_local_models",
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    assert "inventory" in report_of(out)
+    assert calls == {
+        "validate_spec": 1,
+        "validate_monodromy": monodromy_checks,
+        "apply_move": n_moves,
+        "validate_pants": n_moves + 1,
+        "vertex_map_from_curve_bijection": 1,
+        "check_local_models": local_model_checks,
+    }
 
 
 def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):

@@ -25,6 +25,7 @@ from tribranch import (
     construct_outer,
     euler_audit,
     standard_decomposition,
+    validate_spec,
 )
 
 from genutils import make_rng, random_monodromy, random_outer_spec, random_page
@@ -119,7 +120,7 @@ def test_outer_four_holed_sphere_hand_enumeration():
     Circles: the curve, its push-off, and four page boundary circles.
     Blocks: a product over each pants and four solid tori.
     """
-    tc = construct_outer(degenerate_spec(0, 4))
+    tc = construct_outer(validate_spec(degenerate_spec(0, 4)))
     assert tc.taxonomy_counts() == {
         HORIZONTAL_ANNULUS: 1,
         PUSHOFF_ANNULUS: 1,
@@ -136,7 +137,7 @@ def test_outer_four_holed_sphere_hand_enumeration():
 
 
 def test_outer_f05_fixture():
-    tc = construct_outer(degenerate_spec(0, 5))
+    tc = construct_outer(validate_spec(degenerate_spec(0, 5)))
     assert tc.taxonomy_counts() == {
         HORIZONTAL_ANNULUS: 2,
         PUSHOFF_ANNULUS: 2,
@@ -150,20 +151,24 @@ def test_outer_f05_fixture():
     germ_slot_identity(tc)
 
 
+def test_empty_complex_is_connected():
+    assert TribranchedComplex(branches=(), circles=(), blocks=(), sides={}).is_connected()
+
+
 def test_outer_requires_negative_chi():
     page = SurfaceSig(0, 2)
     pd_dummy = standard_decomposition(SurfaceSig(0, 3))
     path = PantsPath(start=pd_dummy, moves=[], closure={})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
     with pytest.raises(ConstructionError, match="chi"):
-        construct_outer(spec)
+        construct_outer(validate_spec(spec))
 
 
 def test_outer_requires_pants_data():
     page = SurfaceSig(0, 5)
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page))
     with pytest.raises(ConstructionError, match="pants data required"):
-        construct_outer(spec)
+        construct_outer(validate_spec(spec))
 
 
 def test_outer_degenerate_convention_can_be_disabled():
@@ -175,7 +180,7 @@ def test_outer_degenerate_convention_can_be_disabled():
         degenerate_path_convention=False,
     )
     with pytest.raises(ConstructionError, match="degenerate"):
-        construct_outer(spec)
+        construct_outer(validate_spec(spec))
 
 
 def test_outer_alternating_self_loop_path_gives_one_holed_tori():
@@ -184,7 +189,7 @@ def test_outer_alternating_self_loop_path_gives_one_holed_tori():
     moves = [PantsMove("c1", "g1", S_MOVE), PantsMove("g1", "g2", S_MOVE)]
     path = PantsPath(start=pd, moves=moves, closure={"g2": "c1"})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     merged = [b for b in tc.branches if b.taxonomy == MERGED_PIECE]
     assert merged and all(b.sig == SurfaceSig(1, 1) for b in merged)
     # Oracle: the move support is the whole one-holed torus, so the blocks
@@ -211,7 +216,7 @@ def test_outer_nondegenerate_mirror_path():
     closure = dict(find_isomorphism(final, pd)[1])
     path = PantsPath(start=pd, moves=[mv, inv], closure=closure)
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     assert tc.meta["levels"] == 2
     assert not tc.meta["degenerate_path_convention_used"]
     # One shared-curve set per level, each of size E - 1 = 1.
@@ -234,7 +239,7 @@ def test_outer_randomized_suite():
     rng = make_rng(41)
     for _ in range(30):
         spec = random_outer_spec(rng)
-        tc = construct_outer(spec)
+        tc = construct_outer(validate_spec(spec))
         for branch in tc.branches:
             assert branch.sig.euler_char in (0, -1, -2)
             assert branch.sig != SurfaceSig(0, 1)
@@ -272,15 +277,15 @@ def corner_block_parity(tc: TribranchedComplex):
 def test_corner_block_parity_on_constructions():
     rng = make_rng(42)
     spec = degenerate_spec(0, 5)
-    assert corner_block_parity(construct_outer(spec)) is None
+    assert corner_block_parity(construct_outer(validate_spec(spec))) is None
     assert corner_block_parity(construct_naive(spec)) is None
     for _ in range(25):
-        tc = construct_outer(random_outer_spec(rng))
+        tc = construct_outer(validate_spec(random_outer_spec(rng)))
         assert corner_block_parity(tc) is None
 
 
 def test_corner_block_parity_detects_corruption():
-    tc = construct_outer(degenerate_spec(0, 5))
+    tc = construct_outer(validate_spec(degenerate_spec(0, 5)))
     sides = dict(tc.sides)
     # Reassign one side of one horizontal annulus to the wrong block.
     victim = next(b.id for b in tc.branches if b.taxonomy == HORIZONTAL_ANNULUS)
@@ -365,7 +370,7 @@ def test_local_models_side_count_must_be_two():
 
 
 def test_complex_serialization_shape():
-    tc = construct_outer(degenerate_spec(0, 4))
+    tc = construct_outer(validate_spec(degenerate_spec(0, 4)))
     doc = tc.to_json()
     assert doc["inventory"]["branches"] == 8
     assert {b["taxonomy"] for b in doc["branches"]} == {

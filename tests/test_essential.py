@@ -24,6 +24,7 @@ from tribranch import (
     construct_outer,
     rank_certificate,
     standard_decomposition,
+    validate_spec,
 )
 
 from genutils import make_rng, random_outer_spec
@@ -40,7 +41,7 @@ def test_end_to_end_positive_fixture():
     spec = degenerate_spec(0, 5)
     cert = rank_certificate(spec)
     assert cert.verdict == CERTIFIED
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     report = check_essential(tc, cert)
     assert report.condition(1).status == PASS
     assert report.condition(2).status == STRUCTURAL_PASS
@@ -53,7 +54,7 @@ def test_end_to_end_negative_fixture():
     spec = degenerate_spec(1, 1)
     cert = rank_certificate(spec)
     assert cert.lower_bound == 2
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     report = check_essential(tc, cert)
     assert report.condition(4).status == NOT_CERTIFIED
     for number in (1, 2, 3):
@@ -121,7 +122,7 @@ def test_condition_four_never_passes_when_uncertified():
     for _ in range(15):
         spec = random_outer_spec(rng)
         cert = rank_certificate(spec)
-        tc = construct_outer(spec)
+        tc = construct_outer(validate_spec(spec))
         report = check_essential(tc, cert)
         if cert.verdict != CERTIFIED:
             assert report.condition(4).status == NOT_CERTIFIED
@@ -133,7 +134,7 @@ def test_condition_four_never_passes_when_uncertified():
 
 def test_degenerate_convention_reported_in_notes():
     spec = degenerate_spec(0, 5)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     report = check_essential(tc, rank_certificate(spec))
     assert any("degenerate path convention" in note for note in report.notes)
 
@@ -146,14 +147,14 @@ def test_s_move_supports_reported_in_notes():
     moves = [PantsMove("c1", "g1", S_MOVE), PantsMove("g1", "g2", S_MOVE)]
     path = PantsPath(start=pd, moves=moves, closure={"g2": "c1"})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     report = check_essential(tc, rank_certificate(spec))
     assert any("one-holed torus" in note for note in report.notes)
 
 
 def test_report_json_contains_condition_numbering():
     spec = degenerate_spec(0, 5)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     doc = check_essential(tc, rank_certificate(spec)).to_json()
     assert [c["condition"] for c in doc["conditions"]] == ["(1)", "(2)", "(3)", "(4)"]
     assert doc["verdict"] == ESSENTIAL

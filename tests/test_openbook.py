@@ -369,7 +369,7 @@ def test_stabilize_extend_path_keeps_a_valid_path():
     assert new_path is not None
     assert new_path.start.surface_sig() == SurfaceSig(1, 2)
     assert validate_path(new_path, res.spec.monodromy).ok
-    assert validate_spec(res.spec).ok
+    assert validate_spec(res.spec).report.ok
 
 
 def test_stabilize_extend_path_with_moves():
@@ -380,9 +380,9 @@ def test_stabilize_extend_path_with_moves():
     moves = [PantsMove("c1", "g1", S_MOVE), PantsMove("g1", "g2", S_MOVE)]
     path = PantsPath(start=pd, moves=moves, closure={"g2": "c1"})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    assert validate_spec(spec).ok
+    assert validate_spec(spec).report.ok
     res = stabilize(spec, site=1, extend_path=True)
-    assert validate_spec(res.spec).ok
+    assert validate_spec(res.spec).report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_validate_spec_flags_page_path_mismatch():
     wrong_pd = standard_decomposition(SurfaceSig(0, 4))
     path = PantsPath(start=wrong_pd, moves=[], closure={c: c for c in wrong_pd.edges})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    report = validate_spec(spec)
+    report = validate_spec(spec).report
     assert "path-page" in report.codes()
 
 
@@ -406,7 +406,7 @@ def test_validate_spec_checks_windings_shape():
         monodromy=MonodromyH1.identity(page),
         windings=IntMatrix.zeros(3, 3),
     )
-    report = validate_spec(spec)
+    report = validate_spec(spec).report
     assert "windings-shape" in report.codes()
 
 

@@ -62,7 +62,7 @@ def test_schema_rejects_structural_problems():
 def test_wrong_matrix_size_is_domain_not_schema():
     spec = parse_spec({"page": {"genus": 0, "boundary": 5},
                        "monodromy": {"h1_matrix": [[1, 0], [0, 1]]}})
-    report = validate_spec(spec)
+    report = validate_spec(spec).report
     assert "matrix-dimension" in report.codes()
 
 
@@ -86,7 +86,7 @@ def test_pairing_survives_round_trip():
     assert [m.to_json() for m in back.pants_path.moves] == [
         m.to_json() for m in spec.pants_path.moves
     ]
-    assert validate_spec(back).ok
+    assert validate_spec(back).report.ok
 
 
 def test_stabilized_spec_round_trips_with_windings():
@@ -104,16 +104,16 @@ def test_stabilized_spec_certifies_end_to_end():
     # carries the outer construction through.
     spec = degenerate_spec(0, 5)
     res = stabilize(spec, site=2, extend_path=True)
-    assert validate_spec(res.spec).ok
+    assert validate_spec(res.spec).report.ok
     cert = rank_certificate(res.spec)
     assert cert.verdict == "Certified" and cert.lower_bound == 4
-    tc = construct_outer(res.spec)
+    tc = construct_outer(validate_spec(res.spec))
     report = check_essential(tc, cert)
     assert report.verdict == "Essential"
     # And once more on top.
     res2 = stabilize(res.spec, site=res.spec.page.n_boundary, extend_path=True)
     cert2 = rank_certificate(res2.spec)
-    tc2 = construct_outer(res2.spec)
+    tc2 = construct_outer(validate_spec(res2.spec))
     assert check_essential(tc2, cert2).verdict == "Essential"
 
 
@@ -133,7 +133,7 @@ def test_curve_permuting_closure_construction():
     assert validate_path(path).ok
     spec = OpenBookSpec(page=sig, monodromy=MonodromyH1.identity(sig),
                         pants_path=path)
-    tc = construct_outer(spec)
+    tc = construct_outer(validate_spec(spec))
     assert check_local_models(tc).ok
     assert euler_audit(tc).ok
     assert tc.is_connected()

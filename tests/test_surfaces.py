@@ -13,6 +13,7 @@ from tribranch import (
     validate_pants,
 )
 from tribranch.schema import parse_decomposition
+from tribranch.surfaces import connected
 
 from genutils import make_rng, random_decomposition, random_page
 
@@ -89,6 +90,18 @@ def test_validate_disconnected():
     assert "disconnected" in report.codes()
     # The leg labels are also off (P3 has unused slots), caught separately.
     assert "slot-usage" in report.codes()
+
+
+def test_connected_graphs():
+    assert connected([], [])
+    assert connected(["a"], [])
+    assert not connected(["a", "b"], [])
+    assert connected(["a", "b", "c"], [("a", "b"), ("c", "b"), ("c", "c")])
+    # Pairs with an end outside the nodes are ignored.
+    assert not connected(["a", "b"], [("a", "x"), ("x", "b")])
+    # An empty decomposition is never reported as disconnected.
+    empty = PantsDecomposition.build([], {}, {})
+    assert "disconnected" not in validate_pants(SurfaceSig(0, 3), empty).codes()
 
 
 def test_cut_components_nothing_removed_gives_pants():
