@@ -28,6 +28,7 @@ from tribranch import (
     standard_decomposition,
     transvection,
 )
+from tribranch.surfaces import vertex_map_from_curve_bijection
 
 SEED = int(os.environ.get("TRIBRANCH_SEED", "20260810"))
 
@@ -70,15 +71,20 @@ def inverse_move(pre, mv, cur, added_id=None) -> PantsMove:
     ``cur`` must contain ``mv.added`` in the same structural role as the
     state that ``mv`` produced (the mirror walk maintains this).  For an
     A-move the right re-pairing is found by trying all three candidates and
-    keeping the one whose result is isomorphic to ``pre``; re-adding the
-    original curve id keeps later undos well defined.
+    keeping the one whose result maps onto ``pre`` with every curve keeping
+    its id (``added_id`` standing for ``mv.removed``).  A mere isomorphism
+    is not enough: it may swap the roles of two curves, and a later undo
+    would then re-pair the wrong support.  Re-adding the original curve id
+    keeps later undos well defined.
     """
     added_id = added_id if added_id is not None else mv.removed
     if mv.kind == S_MOVE:
         return PantsMove(mv.added, added_id, S_MOVE)
     for pairing in enumerate_pairings(cur, mv.added):
         candidate = PantsMove(mv.added, added_id, A_MOVE, pairing)
-        if find_isomorphism(apply_move(cur, candidate), pre) is not None:
+        result = apply_move(cur, candidate)
+        ids = {c: mv.removed if c == added_id else c for c in result.edges}
+        if vertex_map_from_curve_bijection(result, pre, ids) is not None:
             return candidate
     raise AssertionError("no re-pairing undoes the move")
 

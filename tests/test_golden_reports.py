@@ -4,8 +4,10 @@
 the sha256 of stdout and of stderr.  Every command runs in one scratch
 directory with a relative spec name, because reports embed the spec path.
 The corpus is the six fixtures, 60 outer specs drawn by
-``genutils.random_outer_spec`` from a fixed seed, and a copy of every sixth
-of them with two closure targets swapped, which fails the path check.  Each
+``genutils.random_outer_spec`` from a fixed seed, a copy of every sixth of
+them with two closure targets swapped, which fails the path check, and 30
+wider specs (up to six boundary circles and eight moves) from a second
+seed.  Each
 entry also records the sha256 of the spec file, so a drifting generator is
 told apart from changed output.
 
@@ -34,6 +36,8 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_reports.json"
 SEED = 20261018
 N_RANDOM = 60
+WIDE_SEED = 20261019
+N_WIDE = 30
 COMMANDS = {
     "validate": ["validate"],
     "homology": ["homology"],
@@ -66,6 +70,11 @@ def write_corpus(directory: Path) -> list:
         for name, spec_doc in variants:
             (directory / name).write_text(canonical_json(spec_doc), encoding="utf-8")
             names.append(name)
+    rng = random.Random(WIDE_SEED)
+    for i in range(N_WIDE):
+        doc = spec_to_json(random_outer_spec(rng, b_max=6, max_moves=8))
+        (directory / f"w{i:02d}.json").write_text(canonical_json(doc), encoding="utf-8")
+        names.append(f"w{i:02d}.json")
     return names
 
 

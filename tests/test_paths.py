@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tribranch import (
@@ -24,7 +26,14 @@ from tribranch import (
     validate_path,
 )
 
-from genutils import inverse_move, make_rng, random_decomposition, random_move, random_page
+from genutils import (
+    inverse_move,
+    make_rng,
+    random_closed_path,
+    random_decomposition,
+    random_move,
+    random_page,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +159,14 @@ def test_move_then_inverse_is_isomorphic():
         inv = inverse_move(pd, mv, out, "f2")
         back = apply_move(out, inv)
         assert isomorphic(back, pd)
+
+
+@pytest.mark.parametrize("sig, seed", [((1, 3), 88), ((2, 2), 50), ((2, 1), 145), ((1, 4), 145)])
+def test_mirrored_walk_keeps_curve_roles(sig, seed):
+    # An undo that only lands in the isomorphism class of the earlier state
+    # can swap two curves' roles; these seeds then found no re-pairing.
+    path = random_closed_path(SurfaceSig(*sig), random.Random(seed))
+    assert validate_path(path).ok
 
 
 # ---------------------------------------------------------------------------
