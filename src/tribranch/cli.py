@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .complexes import construct_naive, construct_outer, euler_audit, check_local_models
 from .errors import MonodromyError, SchemaError, TribranchError
@@ -107,13 +108,16 @@ def cmd_construct(args) -> int:
     spec, digest = load_spec_file(args.spec)
     report = _base_report("construct", args.spec, digest, spec)
     report["mode"] = args.mode
-    checked = validate_spec(spec)
+    naive = args.mode == "naive"
+    # The three-page complex never reads the pants path, so naive mode checks
+    # only the page, the monodromy and the windings.
+    checked = validate_spec(replace(spec, pants_path=None) if naive else spec)
     report["validation"] = checked.report.to_json()
     if not checked.report.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"spec invalid: {checked.report.summary()}"])
     try:
-        tc = construct_naive(spec) if args.mode == "naive" else construct_outer(checked)
+        tc = construct_naive(spec) if naive else construct_outer(checked)
     except TribranchError as err:
         report["error"] = str(err)
         return _emit(report, EXIT_DOMAIN, args, [f"construction failed: {err}"])

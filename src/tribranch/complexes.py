@@ -47,7 +47,7 @@ from .errors import ConstructionError, TribranchError
 from .openbook import CheckedSpec, OpenBookSpec
 from .paths import common_curves
 from .reports import ValidationReport
-from .surfaces import SurfaceSig, connected, cut_structure
+from .surfaces import SurfaceSig, components, cut_structure
 
 # Branch taxonomy.
 HORIZONTAL_ANNULUS = "HorizontalAnnulus"
@@ -156,12 +156,6 @@ class TribranchedComplex:
     sides: dict
     meta: dict = field(default_factory=dict)
 
-    def branch(self, branch_id: str) -> Branch:
-        for b in self.branches:
-            if b.id == branch_id:
-                return b
-        raise KeyError(branch_id)
-
     def taxonomy_counts(self) -> dict:
         counts = {}
         for b in self.branches:
@@ -186,7 +180,7 @@ class TribranchedComplex:
     def is_connected(self) -> bool:
         """Whether branches and circles, joined by the germs, form one piece."""
         nodes = [b.id for b in self.branches] + [c.id for c in self.circles]
-        return connected(nodes, [(c.id, g[0]) for c in self.circles for g in c.germs])
+        return len(components(nodes, [(c.id, g[0]) for c in self.circles for g in c.germs])) <= 1
 
     def to_json(self) -> dict:
         return {
@@ -295,224 +289,115 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
 
     path = spec.pants_path
     decomps = checked.decomps
-    n_moves = len(path.moves)
     b = page.n_boundary
+    degenerate = not path.moves
+    if degenerate and not spec.degenerate_path_convention:
+        raise ConstructionError(
+            "path has no moves and the degenerate path convention is "
+            "disabled; the construction would have no horizontal pieces"
+        )
+    pages = decomps[:1] if degenerate else decomps[:-1]
+    levels = len(pages)
 
-    degenerate = n_moves == 0
-    if degenerate:
-        if not spec.degenerate_path_convention:
-            raise ConstructionError(
-                "path has no moves and the degenerate path convention is "
-                "disabled; the construction would have no horizontal pieces"
-            )
-        levels = 1
-        pages = [decomps[0]]
-        d_sets = [frozenset(decomps[0].edges)]
-    else:
-        levels = n_moves
-        pages = decomps[:levels]
-        d_sets = [
-            frozenset(common_curves(decomps[k], decomps[k + 1]))
-            for k in range(levels)
-        ]
+    # First pass: the curves D_k departing from page k (shared with page
+    # k+1, in page k's ids), and the slab between pages k and k+1 chopped by
+    # the horizontal annuli over them, one product block per component;
+    # ``block_of[k]`` maps each pants of page k to its block.
+    dep, blocks, block_of = [], [], []
+    for k, pd in enumerate(pages):
+        dep.append(frozenset(pd.edges) if degenerate else common_curves(pd, decomps[k + 1]))
+        lookup = {}
+        for i, comp in enumerate(cut_structure(pd, dep[k])):
+            if comp.sig not in (SurfaceSig(0, 3), SurfaceSig(0, 4), SurfaceSig(1, 1)):
+                raise ConstructionError(f"level {k}: unexpected block base {comp.sig}")
+            blocks.append(product_block(f"block:{k}:{i}", comp.sig))
+            lookup.update(dict.fromkeys(comp.pants, f"block:{k}:{i}"))
+        block_of.append(lookup)
+    blocks += [solid_torus_block(f"st:{label}", label) for label in range(1, b + 1)]
+    # The slab below page k belongs to the previous level; across the wrap
+    # the pants correspondence goes through the closure vertex map, which a
+    # clean report guarantees.
+    to_final = {v: k for k, v in checked.closure_map.items()}
+    below = [{p: block_of[-1][to_final[p]] for p in pages[0].pants}] + block_of[:-1]
+    # The push-offs arriving at page k departed from page k - 1; across the
+    # wrap they arrive at page 0 through the closure.
+    arr = [frozenset(path.closure[c] for c in dep[-1])] + dep[:-1]
+    inv_closure = {v: k for k, v in path.closure.items()}
 
-    closure = dict(path.closure)
-    inv_closure = {v: k for k, v in closure.items()}
-    # Pants correspondence across the wrap: start pants -> final-level pants.
-    # A clean report means the closure extended to this vertex map.
-    vmap_start_to_final = {v: k for k, v in checked.closure_map.items()}
-
-    # Departing curves and arriving push-offs per level, in that level's ids.
-    dep = [set(d_sets[k]) for k in range(levels)]
-    arr = []
-    for k in range(levels):
-        if k == 0:
-            arr.append({closure[c] for c in d_sets[levels - 1]})
-        else:
-            arr.append(set(d_sets[k - 1]))
-
-    branches = []
-    circles = []
-    sides = {}
-    # (level, curve, end) -> (branch id, slot name) for the page-side germs.
-    page_slot_owner = {}
-    # (level, leg label) -> (branch id, slot name).
-    leg_owner = {}
-    piece_branches = []  # (level, CutPiece, branch id)
-
-    for k in range(levels):
-        pd = pages[k]
-        cut = dep[k] | arr[k]
-        pieces = cut_structure(pd, cut)
+    # Second pass: each level's branches, their sides and its branching
+    # circles.  ``owner`` maps the provenance of each boundary circle of a
+    # page piece to the piece's germ: (branch id, slot name).
+    branches, circles, sides, tori = [], [], {}, []
+    for k, pd in enumerate(pages):
+        pieces = cut_structure(pd, dep[k] | arr[k])
         if sum(p.sig.euler_char for p in pieces) != page.euler_char:
             raise ConstructionError(f"level {k}: cut pieces do not add up to the page")
+        owner = {}
         for i, piece in enumerate(pieces):
-            merged = bool(piece.glued)
-            taxonomy = MERGED_PIECE if merged else PANTS_PIECE
-            allowed = (SurfaceSig(0, 4), SurfaceSig(1, 1)) if merged else (SurfaceSig(0, 3),)
+            allowed = (SurfaceSig(0, 4), SurfaceSig(1, 1)) if piece.glued else (SurfaceSig(0, 3),)
             if piece.sig not in allowed:
                 raise ConstructionError(f"level {k}: unexpected page piece {piece.sig}")
             branch_id = f"piece:{k}:{i}"
-            slots = []
             for prov in piece.boundary:
                 if prov[0] == "leg":
-                    slot = f"leg:{prov[1]}"
-                    leg_owner[(k, prov[1])] = (branch_id, slot)
+                    owner[prov] = (branch_id, f"leg:{prov[1]}")
                 else:
                     _, curve, end = prov
-                    if curve in dep[k] and curve in arr[k]:
-                        kind = "curve" if end == 0 else "pushoff"
-                    elif curve in dep[k]:
-                        kind = "curve"
-                    else:
-                        kind = "pushoff"
-                    slot = f"{kind}:{curve}:{end}"
-                    page_slot_owner[(k, curve, end)] = (branch_id, slot)
-                slots.append(slot)
-            branches.append(
-                Branch(
-                    id=branch_id,
-                    sig=piece.sig,
-                    taxonomy=taxonomy,
-                    slots=tuple(slots),
-                    level=k,
-                    refs={
-                        "pants": sorted(piece.pants),
-                        "uncut_curves": sorted(piece.glued),
-                    },
-                )
-            )
-            piece_branches.append((k, piece, branch_id))
+                    departs = curve in dep[k] and (end == 0 or curve not in arr[k])
+                    owner[prov] = (branch_id, f"{'curve' if departs else 'pushoff'}:{curve}:{end}")
+            branches.append(Branch(
+                id=branch_id,
+                sig=piece.sig,
+                taxonomy=MERGED_PIECE if piece.glued else PANTS_PIECE,
+                slots=tuple(owner[prov][1] for prov in piece.boundary),
+                level=k,
+                refs={"pants": sorted(piece.pants), "uncut_curves": sorted(piece.glued)},
+            ))
+            anchor = min(piece.pants)
+            sides[branch_id] = (below[k][anchor], block_of[k][anchor])
         for curve in sorted(dep[k] & arr[k]):
-            branches.append(
-                Branch(
-                    id=f"po:{k}:{curve}",
-                    sig=SurfaceSig(0, 2),
-                    taxonomy=PUSHOFF_ANNULUS,
-                    slots=("inner", "outer"),
-                    level=k,
-                    refs={"curve": curve},
-                )
-            )
+            (p0, _), (p1, _) = pd.edges[curve]
+            branches.append(Branch(id=f"po:{k}:{curve}", sig=SurfaceSig(0, 2),
+                                   taxonomy=PUSHOFF_ANNULUS, slots=("inner", "outer"),
+                                   level=k, refs={"curve": curve}))
+            sides[f"po:{k}:{curve}"] = (below[k][p0], block_of[k][p1])
+        # A departing curve meets the two page pieces along it (or its
+        # push-off strip) and the climbing annulus; an arriving push-off meets
+        # its page pieces and the annulus arriving from below.
         for curve in sorted(dep[k]):
-            branches.append(
-                Branch(
-                    id=f"h:{k}:{curve}",
-                    sig=SurfaceSig(0, 2),
-                    taxonomy=HORIZONTAL_ANNULUS,
-                    slots=("start", "end"),
-                    level=k,
-                    refs={"curve": curve},
-                )
-            )
-    for label in range(1, b + 1):
-        for k in range(levels):
-            branches.append(
-                Branch(
-                    id=f"ta:{label}:{k}",
-                    sig=SurfaceSig(0, 2),
-                    taxonomy=TORUS_ANNULUS,
-                    slots=("end0", "end1"),
-                    level=k,
-                    refs={"boundary_label": label},
-                )
-            )
-
-    # Branching circles.  A departing curve meets the two page pieces along
-    # it (or its push-off strip) and the climbing annulus; an arriving
-    # push-off meets its page pieces and the annulus arriving from below.
-    for k in range(levels):
-        for curve in sorted(dep[k]):
-            end0 = page_slot_owner[(k, curve, 0)]
-            if curve in arr[k]:
-                mid = (f"po:{k}:{curve}", "inner")
-            else:
-                mid = page_slot_owner[(k, curve, 1)]
-            circles.append(
-                BranchingCircle(
-                    id=f"curve:{k}:{curve}",
-                    germs=(end0, mid, (f"h:{k}:{curve}", "start")),
-                )
-            )
+            (p0, _), (p1, _) = pd.edges[curve]
+            branches.append(Branch(id=f"h:{k}:{curve}", sig=SurfaceSig(0, 2),
+                                   taxonomy=HORIZONTAL_ANNULUS, slots=("start", "end"),
+                                   level=k, refs={"curve": curve}))
+            sides[f"h:{k}:{curve}"] = (block_of[k][p0], block_of[k][p1])
+            mid = (f"po:{k}:{curve}", "inner") if curve in arr[k] else owner[("cut", curve, 1)]
+            circles.append(BranchingCircle(
+                id=f"curve:{k}:{curve}",
+                germs=(owner[("cut", curve, 0)], mid, (f"h:{k}:{curve}", "start")),
+            ))
         for curve in sorted(arr[k]):
-            if k == 0:
-                h_id = f"h:{levels - 1}:{inv_closure[curve]}"
-            else:
-                h_id = f"h:{k - 1}:{curve}"
-            end1 = page_slot_owner[(k, curve, 1)]
-            if curve in dep[k]:
-                mid = (f"po:{k}:{curve}", "outer")
-            else:
-                mid = page_slot_owner[(k, curve, 0)]
-            circles.append(
-                BranchingCircle(
-                    id=f"pushoff:{k}:{curve}",
-                    germs=(mid, end1, (h_id, "end")),
-                )
-            )
+            h_id = f"h:{levels - 1}:{inv_closure[curve]}" if k == 0 else f"h:{k - 1}:{curve}"
+            mid = (f"po:{k}:{curve}", "outer") if curve in dep[k] else owner[("cut", curve, 0)]
+            circles.append(BranchingCircle(
+                id=f"pushoff:{k}:{curve}",
+                germs=(mid, owner[("cut", curve, 1)], (h_id, "end")),
+            ))
         for label in range(1, b + 1):
-            circles.append(
-                BranchingCircle(
-                    id=f"spine:{k}:{label}",
-                    germs=(
-                        leg_owner[(k, label)],
-                        (f"ta:{label}:{(k - 1) % levels}", "end1"),
-                        (f"ta:{label}:{k}", "end0"),
-                    ),
-                )
-            )
+            tori.append(Branch(id=f"ta:{label}:{k}", sig=SurfaceSig(0, 2),
+                               taxonomy=TORUS_ANNULUS, slots=("end0", "end1"),
+                               level=k, refs={"boundary_label": label}))
+            sides[f"ta:{label}:{k}"] = (block_of[k][pd.legs[label][0]], f"st:{label}")
+            circles.append(BranchingCircle(
+                id=f"spine:{k}:{label}",
+                germs=(
+                    owner[("leg", label)],
+                    (f"ta:{label}:{(k - 1) % levels}", "end1"),
+                    (f"ta:{label}:{k}", "end0"),
+                ),
+            ))
+    branches += sorted(tori, key=lambda br: (br.refs["boundary_label"], br.level))
 
-    # Blocks: the slab between pages k and k+1 is chopped by the horizontal
-    # annuli over the shared curves D_k, one product block per component.
-    blocks = []
-    block_of_pants = []
-    for k in range(levels):
-        comps = cut_structure(pages[k], dep[k])
-        lookup = {}
-        for i, comp in enumerate(comps):
-            base = comp.sig
-            if base not in (SurfaceSig(0, 3), SurfaceSig(0, 4), SurfaceSig(1, 1)):
-                raise ConstructionError(f"level {k}: unexpected block base {base}")
-            block_id = f"block:{k}:{i}"
-            blocks.append(product_block(block_id, base))
-            for pants_id in comp.pants:
-                lookup[pants_id] = block_id
-        block_of_pants.append(lookup)
-    for label in range(1, b + 1):
-        blocks.append(solid_torus_block(f"st:{label}", label))
-
-    def below_lookup(k: int, pants_id: str) -> str:
-        # The slab below page k is indexed by the previous level; across the
-        # wrap the pants correspondence goes through the closure.
-        if k == 0:
-            return block_of_pants[levels - 1][vmap_start_to_final[pants_id]]
-        return block_of_pants[k - 1][pants_id]
-
-    for k, piece, branch_id in piece_branches:
-        anchor = min(piece.pants)
-        sides[branch_id] = (below_lookup(k, anchor), block_of_pants[k][anchor])
-    for k in range(levels):
-        pd = pages[k]
-        for curve in sorted(dep[k] & arr[k]):
-            (p0, _), (p1, _) = pd.edges[curve]
-            sides[f"po:{k}:{curve}"] = (
-                below_lookup(k, p0),
-                block_of_pants[k][p1],
-            )
-        for curve in sorted(dep[k]):
-            (p0, _), (p1, _) = pd.edges[curve]
-            sides[f"h:{k}:{curve}"] = (
-                block_of_pants[k][p0],
-                block_of_pants[k][p1],
-            )
-        for label in range(1, b + 1):
-            leg_pants = pd.legs[label][0]
-            sides[f"ta:{label}:{k}"] = (
-                block_of_pants[k][leg_pants],
-                f"st:{label}",
-            )
-
-    n_shared = sum(len(d) for d in d_sets)
+    n_shared = sum(len(d) for d in dep)
     if len(circles) != 2 * n_shared + levels * b:
         raise ConstructionError("branching circle count differs from the shared curve count")
     meta = {
@@ -520,7 +405,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
         "page": page,
         "levels": levels,
         "degenerate_path_convention_used": degenerate,
-        "shared_curve_counts": [len(d_sets[k]) for k in range(levels)],
+        "shared_curve_counts": [len(d) for d in dep],
         "s_move_supports": sum(
             1 for br in branches if br.taxonomy == MERGED_PIECE and br.sig == SurfaceSig(1, 1)
         ) + sum(1 for bl in blocks if bl.base == SurfaceSig(1, 1)),

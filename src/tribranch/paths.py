@@ -43,7 +43,7 @@ from .surfaces import (
     Multicurve,
     PantsDecomposition,
     canonical_key,
-    connected,
+    components,
     find_isomorphism,
     validate_pants,
     vertex_map_from_curve_bijection,
@@ -230,7 +230,7 @@ def _degenerate_pairing_disconnects(pd, removed, pairing) -> bool:
         return u if cuff == lone else (v if cuff in support else cuff[0])
 
     pairs = [(moved(a), moved(b)) for curve, (a, b) in pd.edges.items() if curve != removed]
-    return not connected(pd.pants, pairs)
+    return len(components(pd.pants, pairs)) > 1
 
 
 def common_curves(c_k: PantsDecomposition, c_next: PantsDecomposition) -> Multicurve:

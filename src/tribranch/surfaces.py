@@ -66,24 +66,32 @@ def euler_char(sig: SurfaceSig) -> int:
     return sig.euler_char
 
 
-def connected(nodes, pairs) -> bool:
-    """Whether ``nodes`` joined by the ``pairs`` form one connected graph.
+def components(nodes, pairs) -> list:
+    """The connected components of ``nodes`` joined by the ``pairs``.
 
-    Pairs with an end outside ``nodes`` are ignored; an empty graph counts
-    as connected.
+    Each component is a sorted list and the components are ordered by their
+    smallest node.  Pairs with an end outside ``nodes`` are ignored.  This is
+    the one connectivity routine of the package: the pants graph, the cut
+    surface, the moves' diagnostics and the complexes all use it.
     """
     nbrs = {n: [] for n in nodes}
     for a, b in pairs:
         if a in nbrs and b in nbrs:
             nbrs[a].append(b)
             nbrs[b].append(a)
-    seen, stack = set(), list(nbrs)[:1]
-    while stack:
-        n = stack.pop()
-        if n not in seen:
-            seen.add(n)
-            stack.extend(nbrs[n])
-    return len(seen) == len(nbrs)
+    seen, comps = set(), []
+    for start in nbrs:
+        if start not in seen:
+            seen.add(start)
+            comp, stack = [start], [start]
+            while stack:
+                for n in nbrs[stack.pop()]:
+                    if n not in seen:
+                        seen.add(n)
+                        comp.append(n)
+                        stack.append(n)
+            comps.append(sorted(comp))
+    return sorted(comps)
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
         )
     if e != 3 * sig.genus + sig.n_boundary - 3:
         report.add("curve-count", f"E = {e}, expected {3*sig.genus + sig.n_boundary - 3}")
-    if pd.pants and not connected(pd.pants, [(u, v) for (u, _), (v, _) in pd.edges.values()]):
+    if len(components(pd.pants, [(u, v) for (u, _), (v, _) in pd.edges.values()])) > 1:
         report.add("disconnected", "the pants graph is not connected")
     elif pd.pants and e - v + 1 != sig.genus:
         report.add("cycle-rank", f"cycle rank {e - v + 1} differs from genus {sig.genus}")
@@ -240,66 +248,32 @@ class CutPiece:
 def cut_structure(pd: PantsDecomposition, cut: set) -> list:
     """Components of the surface cut along the curves in ``cut``.
 
-    Curves not in ``cut`` act as gluings between pants.  Each returned piece
-    records its pants set, its internal (glued) curves and the provenance of
-    every boundary circle.  Pieces are ordered by their smallest pants id.
+    Curves not in ``cut`` act as gluings between pants, so the pieces are the
+    :func:`components` of the pants graph on the glued curves, ordered by
+    their smallest pants id.  Each returned piece records its pants set, its
+    internal (glued) curves and the provenance of every boundary circle;
+    every curve and leg is handed to its piece in one pass.
     """
     unknown = set(cut) - set(pd.edges)
     if unknown:
         raise TribranchError(f"unknown curve ids {sorted(unknown)}")
     glue = [c for c in sorted(pd.edges) if c not in cut]
-    parent = {p: p for p in pd.pants}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    comps = components(pd.pants, [(pd.edges[c][0][0], pd.edges[c][1][0]) for c in glue])
+    piece_of = {p: i for i, comp in enumerate(comps) for p in comp}
+    glued = [[] for _ in comps]
+    boundary = [[] for _ in comps]
     for c in glue:
-        (u, _), (v, _) = pd.edges[c]
-        union(u, v)
-
-    groups = {}
-    for p in sorted(pd.pants):
-        groups.setdefault(find(p), []).append(p)
-
-    pieces = []
-    for root in sorted(groups):
-        members = frozenset(groups[root])
-        internal = []
-        n_internal = 0
-        boundary = []
-        for c in glue:
-            (u, _), (v, _) = pd.edges[c]
-            if u in members:
-                internal.append(c)
-                n_internal += 1
-        for label in sorted(pd.legs):
-            p, _ = pd.legs[label]
-            if p in members:
-                boundary.append(("leg", label))
-        for c in sorted(cut):
-            for end in (0, 1):
-                p, _ = pd.edges[c][end]
-                if p in members:
-                    boundary.append(("cut", c, end))
-        genus = n_internal - len(members) + 1
-        sig = SurfaceSig(genus=genus, n_boundary=len(boundary))
-        pieces.append(
-            CutPiece(
-                pants=members,
-                glued=frozenset(internal),
-                boundary=tuple(boundary),
-                sig=sig,
-            )
-        )
-    return pieces
+        glued[piece_of[pd.edges[c][0][0]]].append(c)
+    for label in sorted(pd.legs):
+        boundary[piece_of[pd.legs[label][0]]].append(("leg", label))
+    for c in sorted(cut):
+        for end in (0, 1):
+            boundary[piece_of[pd.edges[c][end][0]]].append(("cut", c, end))
+    return [
+        CutPiece(pants=frozenset(comp), glued=frozenset(inner), boundary=tuple(bd),
+                 sig=SurfaceSig(genus=len(inner) - len(comp) + 1, n_boundary=len(bd)))
+        for comp, inner, bd in zip(comps, glued, boundary)
+    ]
 
 
 def cut_components(sig: SurfaceSig, pd: PantsDecomposition, removed) -> list:

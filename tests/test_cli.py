@@ -112,6 +112,24 @@ def test_construct_naive_rejects_disc(tmp_path, capsys):
     assert "chi" in report_of(out)["error"]
 
 
+def test_construct_naive_ignores_the_pants_path(tmp_path, capsys):
+    # An x* spec of the golden corpus: two closure targets swapped.
+    doc = spec_to_json(random_outer_spec(random.Random(7)))
+    closure = doc["monodromy"]["pants_path"]["closure"]
+    first, second = sorted(closure)[:2]
+    closure[first], closure[second] = closure[second], closure[first]
+    spec_file = tmp_path / "x.json"
+    spec_file.write_text(canonical_json(doc))
+    code, out, _ = run(capsys, "construct", spec_file, "--mode", "naive",
+                       "--out", tmp_path / "naive.json")
+    assert code == 0
+    assert report_of(out)["validation"] == []
+    code, out, _ = run(capsys, "construct", spec_file, "--mode", "outer",
+                       "--out", tmp_path / "outer.json")
+    assert code == 1
+    assert "closure-iso" in [e["code"] for e in report_of(out)["validation"]]
+
+
 def test_construct_outer_inventory(tmp_path, capsys):
     out_file = tmp_path / "complex.json"
     code, out, _ = run(capsys, "construct", FIXTURES / "f04_identity.json",

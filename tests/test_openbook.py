@@ -90,6 +90,20 @@ def test_random_transvection_products_are_valid():
         assert validate_monodromy(page, m).ok, (page, m.matrix.to_json())
 
 
+def test_valid_monodromy_needs_no_determinant(monkeypatch):
+    rng = make_rng(35)
+    calls = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda self: calls.append(1) or det(self))
+    for _ in range(10):
+        page = random_page(rng, g_max=3, b_max=4, chi_max=0)
+        assert validate_monodromy(page, random_monodromy(page, rng, twists=4)).ok
+    assert calls == []
+    bad = MonodromyH1(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    assert validate_monodromy(SurfaceSig(1, 1), bad).codes() == ["intersection-form", "determinant"]
+    assert calls == [1]
+
+
 def _generic_validation(page, mat):
     """The codes validate_monodromy reports, with the generic form check."""
     k = h1_rank(page)

@@ -13,7 +13,7 @@ from tribranch import (
     validate_pants,
 )
 from tribranch.schema import parse_decomposition
-from tribranch.surfaces import connected
+from tribranch.surfaces import components
 
 from genutils import make_rng, random_decomposition, random_page
 
@@ -93,12 +93,18 @@ def test_validate_disconnected():
 
 
 def test_connected_graphs():
-    assert connected([], [])
-    assert connected(["a"], [])
-    assert not connected(["a", "b"], [])
-    assert connected(["a", "b", "c"], [("a", "b"), ("c", "b"), ("c", "c")])
+    assert components([], []) == []
+    assert components(["a"], []) == [["a"]]
+    assert components(["b", "a"], []) == [["a"], ["b"]]
+    assert components(["a", "b", "c"], [("a", "b"), ("c", "b"), ("c", "c")]) == [["a", "b", "c"]]
+    # Parallel edges and self-loops join nothing new.
+    assert components(["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "b"), ("c", "c")]) \
+        == [["a", "b"], ["c"]]
     # Pairs with an end outside the nodes are ignored.
-    assert not connected(["a", "b"], [("a", "x"), ("x", "b")])
+    assert components(["a", "b"], [("a", "x"), ("x", "b")]) == [["a"], ["b"]]
+    # Components are sorted and ordered by their smallest node.
+    assert components(["e", "d", "c", "b", "a"], [("e", "a"), ("d", "b"), ("c", "d")]) \
+        == [["a", "e"], ["b", "c", "d"]]
     # An empty decomposition is never reported as disconnected.
     empty = PantsDecomposition.build([], {}, {})
     assert "disconnected" not in validate_pants(SurfaceSig(0, 3), empty).codes()
