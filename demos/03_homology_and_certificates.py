@@ -15,22 +15,24 @@ from tribranch import (
     cokernel,
     h1_open_book,
     intersection_form,
+    invariant_factors,
     min_generators,
     rank_certificate,
-    smith_normal_form,
     stabilize,
     transvection,
 )
 
 print("=" * 70)
-print("Smith normal form over the integers, exactly")
+print("Invariant factors and cokernels over the integers, exactly")
 print("=" * 70)
-a = IntMatrix.from_rows([[2, 4], [6, 8]])
-res = smith_normal_form(a)
-print("  A =", a.to_json())
-print("  invariant factors:", res.invariant_factors)
-print("  U A V == S:", res.u.mul(a).mul(res.v) == res.s)
-print("  cokernel of A:", cokernel(a))
+print("H_1 below is the cokernel of one integer matrix; the cokernel needs")
+print("only the invariant factors s_1 | s_2 | ... of that matrix.")
+for rows in ([[2, 4], [6, 8]], [[2, 4], [3, 6]]):
+    a = IntMatrix.from_rows(rows)
+    print("  A =", a.to_json())
+    print("    det A:", a.det())
+    print("    invariant factors:", invariant_factors(a))
+    print("    cokernel of A:", cokernel(a))
 
 print()
 print("=" * 70)

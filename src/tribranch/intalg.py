@@ -1,19 +1,25 @@
-"""Exact integer linear algebra: Smith normal form and cokernels.
+"""Exact integer linear algebra: invariant factors, determinants and cokernels.
 
-All arithmetic is over Python's arbitrary-precision integers; intermediate
-entry growth during the reduction is well known and no float or fixed-width
-path exists anywhere in this module, because the homology certificates built
-on top of it cannot be tolerance-based.
+All arithmetic is over Python's arbitrary-precision integers; no float or
+fixed-width path exists anywhere in this module, because the homology
+certificates built on top of it cannot be tolerance-based.
 
-Pivots are chosen as the smallest nonzero absolute value, ties broken in
-row-major order, so outputs are deterministic.
+``invariant_factors`` computes the invariant factors s_1 | s_2 | ... of a
+matrix A, which is all ``cokernel`` needs.  One fraction-free (Bareiss) pass
+gives the rank r of A and a nonzero r x r minor D; ``IntMatrix.det`` is the
+same pass.  The matrix is then diagonalised over Z/DZ, where its entries stay
+below D (H. Cohen, A Course in Computational Algebraic Number Theory, 2.4;
+Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  This is exact:
 
-``cokernel`` needs only the invariant factors.  It takes them from
-``invariant_factors``, which runs the elimination of ``smith_normal_form``
-without the unimodular transforms U and V; their entries grow far beyond
-those of the diagonalised matrix (to about 40,000 bits at rank 60).
-``smith_normal_form`` keeps U and V for callers that need them and, with
-``determinantal_divisors``, serves as the test oracle.
+- every r x r minor is a multiple of s_1 ... s_r, so each nonzero s_i
+  divides D and is gcd(s_i, D), which the diagonal over Z/DZ determines;
+- the rank is exact, so the zero factors s_{r+1}, ... (0 mod D, like D
+  itself) are never read as D.
+
+``smith_normal_form`` (with its unimodular transforms U and V, pivots of
+smallest absolute value in row-major order) and ``determinantal_divisors``
+(gcds of all k x k minors) are test oracles.  They stay in this module
+because the benchmark harness in ``perfbench/`` looks them up by name.
 """
 
 from __future__ import annotations
@@ -78,30 +84,11 @@ class IntMatrix:
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant: sign * D from :func:`_fraction_free` at full rank, else 0."""
         if self.rows != self.cols:
             raise TribranchError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, sign, minor = _fraction_free(self.entries)
+        return sign * minor if rank == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -217,66 +204,92 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def _smallest_entry(block):
-    """(row, column) of the first smallest nonzero |entry| in row-major order."""
-    best, where = 0, None
-    for i, row in enumerate(block):
-        low = min(filter(None, map(abs, row)), default=0)
-        if low and (where is None or low < best):
-            best = low
-            where = (i, next(j for j, x in enumerate(row) if abs(x) == low))
-            if low == 1:
-                return where
-    return where
+def _fraction_free(rows) -> tuple:
+    """Rank r, row-swap sign and last pivot D of one Bareiss elimination.
+
+    Columns are taken left to right and a column with no pivot is skipped.
+    After each step the entries left are minors of the matrix (Bareiss, Math.
+    Comp. 22, 1968), so the division is exact and D is the nonzero r x r
+    minor on the pivot rows and columns; D is 1 when r = 0.
+    """
+    block = [list(row) for row in rows]
+    rank, sign, minor = 0, 1, 1
+    while block and block[0]:
+        k = next((i for i, row in enumerate(block) if row[0]), None)
+        if k is None:
+            block = [row[1:] for row in block]
+            continue
+        if k:
+            block[0], block[k] = block[k], block[0]
+            sign = -sign
+        top = block[0]
+        p, tail = top[0], top[1:]
+        block = [[(x * p - row[0] * y) // minor for x, y in zip(row[1:], tail)]
+                 for row in block[1:]]
+        rank, minor = rank + 1, p
+    return rank, sign, minor
+
+
+def _bezout(a: int, b: int) -> tuple:
+    """(g, x, y) with g = gcd(a, b) = x a + y b for a > 0, b >= 0.
+
+    Whenever a divides b this is (a, 1, 0), so a pivot that already divides
+    an entry keeps its row; Euclid's (a, 0, 1) for a = b would swap the two
+    rows instead and the clearing would never end.
+    """
+    if b % a == 0:
+        return a, 1, 0
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+    return a, x0, y0
 
 
 def invariant_factors(a: IntMatrix) -> tuple:
-    """The diagonal of :func:`smith_normal_form`, without U and V.
+    """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
-    The elimination is the same step for step (smallest pivot in row-major
-    order, the same edge clearing, the same divisibility fold), so the
-    diagonal is identical.  A finished pivot's row and column are zero
-    elsewhere, so they are dropped and the work goes on in the block left.
+    One :func:`_fraction_free` pass gives the rank r and a nonzero r x r
+    minor D.  The matrix is diagonalised over Z/DZ by extended-gcd row steps;
+    a pivot that does not divide its row is cleared the same way after a
+    transpose, which keeps the invariant factors.  Each diagonal entry d
+    stands for gcd(d, D), the positions left over for D, and gcd/lcm pairs
+    sort these into a divisibility chain whose first r entries are s_1..s_r.
     """
-    block = [list(row) for row in a.entries]
-    factors = []
-    while block and block[0]:
-        pos = _smallest_entry(block)
+    rank, _, d = _fraction_free(a.entries)
+    d = abs(d)
+    block = [[x % d for x in row] for row in a.entries]
+    chain = []
+    while True:
+        pos = next(((i, j) for i, row in enumerate(block)
+                    for j, x in enumerate(row) if x), None)
         if pos is None:
             break
+        i, j = pos
+        block[0], block[i] = block[i], block[0]
+        for row in block:
+            row[0], row[j] = row[j], row[0]
         while True:
-            i, j = pos
-            block[0], block[i] = block[i], block[0]
-            if j:
-                for row in block:
-                    row[0], row[j] = row[j], row[0]
-            if block[0][0] < 0:
-                block[0] = [-x for x in block[0]]
             top = block[0]
-            p = top[0]
-            # Clear the edging: rows first, then columns, as in
-            # smith_normal_form.  Each step subtracts a multiple of the
-            # pivot row or column, which no other step changes.
-            for r in range(1, len(block)):
-                q = block[r][0] // p
-                if q:
-                    block[r] = [x - q * y for x, y in zip(block[r], top)]
-            quotients = [0] + [x // p for x in top[1:]]
-            if any(quotients):
-                for r, row in enumerate(block):
-                    if row[0]:
-                        block[r] = [x - q * row[0] for x, q in zip(row, quotients)]
-            if not any(row[0] for row in block[1:]) and not any(block[0][1:]):
-                # Enforce divisibility: fold the first non-multiple's row in.
-                offender = next((row for row in block[1:]
-                                 if p != 1 and any(x % p for x in row)), None)
-                if offender is None:
-                    break
-                block[0] = [x + y for x, y in zip(block[0], offender)]
-            pos = _smallest_entry(block)
-        factors.append(p)
+            for i in range(1, len(block)):
+                row = block[i]
+                if row[0]:
+                    g, x, y = _bezout(top[0], row[0])
+                    u, v = row[0] // g, top[0] // g
+                    block[i] = [(u * s - v * t) % d for s, t in zip(top, row)]
+                    if y:
+                        top = block[0] = [(x * s + y * t) % d for s, t in zip(top, row)]
+            if not any(x % top[0] for x in top[1:]):
+                break
+            block = [list(col) for col in zip(*block)]
+        chain.append(gcd(top[0], d))
         block = [row[1:] for row in block[1:]]
-    return tuple(factors) + (0,) * (min(a.rows, a.cols) - len(factors))
+    chain += [d] * (min(a.rows, a.cols) - len(chain))
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return tuple(chain[:rank]) + (0,) * (len(chain) - rank)
 
 
 @dataclass(frozen=True)

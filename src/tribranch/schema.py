@@ -116,10 +116,15 @@ def parse_decomposition(doc: dict, where: str = "pants_path.start") -> PantsDeco
     legs_doc = _require(doc, "legs", dict, where)
     legs = {}
     for label, cuff in legs_doc.items():
+        # int() also reads "03", " 3", "+3" and "1_0"; only the decimal
+        # form str(int(label)) is a label, so two keys never name one leg.
         try:
             key = int(label)
         except ValueError:
-            raise SchemaError(f"{where}.legs key {label!r} is not an integer label")
+            key = None
+        if str(key) != label:
+            raise SchemaError(
+                f"{where}.legs key {label!r} is not a canonical integer label")
         legs[key] = _cuff(cuff, f"{where}.legs.{label}")
     return PantsDecomposition(pants=frozenset(pants), edges=edges, legs=legs)
 

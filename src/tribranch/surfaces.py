@@ -252,11 +252,16 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
     :func:`components` of the pants graph on the glued curves, ordered by
     their smallest pants id.  Each returned piece records its pants set, its
     internal (glued) curves and the provenance of every boundary circle;
-    every curve and leg is handed to its piece in one pass.
+    every curve and leg is handed to its piece in one pass.  A curve end or
+    leg on a pants outside ``pd.pants`` is a :class:`TribranchError`.
     """
     unknown = set(cut) - set(pd.edges)
     if unknown:
         raise TribranchError(f"unknown curve ids {sorted(unknown)}")
+    named = {end[0] for ends in pd.edges.values() for end in ends}
+    stray = named.union(cuff[0] for cuff in pd.legs.values()) - set(pd.pants)
+    if stray:
+        raise TribranchError(f"curves or legs on unknown pants {sorted(stray)}")
     glue = [c for c in sorted(pd.edges) if c not in cut]
     comps = components(pd.pants, [(pd.edges[c][0][0], pd.edges[c][1][0]) for c in glue])
     piece_of = {p: i for i, comp in enumerate(comps) for p in comp}

@@ -278,6 +278,28 @@ def test_malformed_spec_is_a_schema_failure(mutate, tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("legs", [
+    {"1": ["P0", 1], "2": ["P0", 2], "3": ["P0", 3], "03": ["P0", 3]},
+    {"1": ["P0", 1], "2": ["P0", 2], " 3": ["P0", 3]},
+    {"1": ["P0", 1], "2": ["P0", 2], "+3": ["P0", 3]},
+    {"1": ["P0", 1], "2": ["P0", 2], "1_0": ["P0", 3]},
+], ids=["leading_zero", "space", "plus", "underscore"])
+def test_non_canonical_leg_label_is_a_schema_failure(legs, tmp_path):
+    # int() reads each of these keys; "3" and "03" would merge into one leg.
+    start = {"pants": ["P0"], "edges": {}, "legs": legs}
+    doc = {"page": {"genus": 0, "boundary": 3},
+           "monodromy": {"h1_matrix": [[1, 0], [0, 1]],
+                         "pants_path": {"start": start, "moves": [], "closure": {}}}}
+    spec = tmp_path / "legs.json"
+    spec.write_text(json.dumps(doc))
+    proc = _run_cli("validate", spec)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    bad = next(label for label in legs if label not in ("1", "2", "3"))
+    assert proc.stderr == f"error: monodromy.pants_path.start.legs key {bad!r} " \
+                          "is not a canonical integer label\n"
+
+
 # Beyond Python's default limit of 4300 digits for int <-> str conversion.
 _HUGE = "1" + "0" * 4399
 

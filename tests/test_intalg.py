@@ -2,6 +2,7 @@ import sys
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tribranch import (
     AbelianGroup,
@@ -31,6 +32,14 @@ def oracle_invariant_factors(a: IntMatrix) -> list:
             factors.append(d // prev)
             prev = d
     return factors
+
+
+def laplace(rows) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * laplace([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
 def check_snf_contract(a: IntMatrix):
@@ -236,16 +245,83 @@ def test_determinant_bareiss():
         a = IntMatrix.from_rows(
             [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         )
-        # Laplace expansion oracle.
-        def laplace(rows):
-            if not rows:
-                return 1
-            if len(rows) == 1:
-                return rows[0][0]
-            total = 0
-            for j in range(len(rows)):
-                sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-                total += ((-1) ** j) * rows[0][j] * laplace(sub)
-            return total
-
         assert a.det() == laplace([list(r) for r in a.entries])
+
+
+def test_determinant_of_singular_and_non_square_matrices():
+    # The first column has no pivot and is skipped; the rank stays below 3.
+    assert IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]]).det() == 0
+    assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).det() == 0
+    assert IntMatrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]]).det() == -6
+    with pytest.raises(TribranchError):
+        IntMatrix.from_rows([[1, 2]]).det()
+    with pytest.raises(TribranchError):
+        IntMatrix(2, 0, ((), ())).det()
+
+
+def test_invariant_factors_named_cases_mod_d():
+    def diag(*xs):
+        return IntMatrix.from_rows([[x if i == j else 0 for j in range(len(xs))]
+                                    for i, x in enumerate(xs)])
+
+    # D = 5 and A = 0 mod D: the one factor is the padding D itself.
+    assert invariant_factors(IntMatrix.from_rows([[5]])) == (5,)
+    # D = 6 = s_2, and 2, 3 on the diagonal form a chain only as 1 | 6.
+    assert invariant_factors(diag(2, 3)) == (1, 6)
+    # D = 24: the diagonal 6, 4 becomes the chain 2 | 12.
+    assert invariant_factors(diag(6, 4)) == (2, 12)
+    # D = 4 and the column is (0, 3, 3) mod D: 3 stands for gcd(3, 4) = 1.
+    assert invariant_factors(IntMatrix.from_rows([[-4], [-5], [-1]])) == (1,)
+    # D = 12 and the first column is (8, 10) mod D: the pivot 8 does not
+    # divide 10, so the row step needs Bezout coefficients.
+    assert invariant_factors(IntMatrix.from_rows([[-4, -4], [-2, -5]])) == (1, 12)
+    # Rank 1 of 2: the zero factor is not D = 3.
+    assert invariant_factors(IntMatrix.from_rows([[3, 6], [6, 12]])) == (3, 0)
+
+
+def test_bezout_keeps_a_dividing_pivot():
+    assert intalg._bezout(3, 3) == (3, 1, 0)
+    assert intalg._bezout(2, 6) == (2, 1, 0)
+    assert intalg._bezout(5, 0) == (5, 1, 0)
+    for a, b in [(8, 10), (10, 8), (7, 5), (12, 18)]:
+        g, x, y = intalg._bezout(a, b)
+        assert g == gcd(a, b) == x * a + y * b
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=6):
+    """Matrices up to max_dim x max_dim, each optionally of lower rank (a
+    product through a thinner middle), scaled, and with zeroed rows and
+    columns; 0 x n and m x 0 shapes included."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+
+    def grid(m, n):
+        return draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+
+    entries = grid(rows, cols)
+    kinds = draw(st.sets(st.sampled_from(("low_rank", "scaled", "zero_rows", "zero_cols"))))
+    if "low_rank" in kinds:
+        t = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        left, right = grid(rows, t), grid(t, cols)
+        entries = [[sum(left[i][s] * right[s][j] for s in range(t)) for j in range(cols)]
+                   for i in range(rows)]
+    if "scaled" in kinds:
+        c = draw(st.sampled_from((2, 3, 4, 6, 12, 30)))
+        entries = [[c * x for x in row] for row in entries]
+    if "zero_rows" in kinds and rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+            entries[i] = [0] * cols
+    if "zero_cols" in kinds and cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), min_size=1)):
+            for row in entries:
+                row[j] = 0
+    return IntMatrix(rows, cols, tuple(tuple(row) for row in entries))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(shaped_matrices())
+def test_elimination_mod_d_matches_minor_and_laplace_oracles(a):
+    assert list(invariant_factors(a)) == oracle_invariant_factors(a)
+    if a.rows == a.cols:
+        assert a.det() == laplace([list(row) for row in a.entries])

@@ -239,19 +239,17 @@ def test_h1_invariant_under_boundary_fixing_conjugation():
         assert h1_open_book(spec) == h1_open_book(spec2)
 
 
-def test_h1_of_dense_rank_60_conjugate_in_closed_form():
-    # M = P D P^-1 on F(20, 21): D is the identity on the boundary classes
-    # and the block [[1, 1], [t - 2, t - 1]] on each handle, whose part of
-    # M - 1 has cokernel Z/(t - 2); P is a product of 60 transvections
-    # T = 1 + c (Jc)^T, applied as rank-one updates, and P^-1 the reversed
-    # product of their inverses 1 - c (Jc)^T.  ``shifts`` lists t - 2: the
-    # two zeros add to the free rank, and the other torsion orders already
-    # divide one another in sorted order.
-    rng = make_rng(35)
-    g, b = 20, 21
+def _dense_conjugate_h1(rng, g, b, shifts):
+    """H_1 of M = P D P^-1 on F(g, b) and the seconds it took.
+
+    D is the identity on the boundary classes and the block
+    [[1, 1], [t - 2, t - 1]] on each handle, whose part of M - 1 has cokernel
+    Z/(t - 2); ``shifts`` lists t - 2.  P is a product of k transvections
+    T = 1 + c (Jc)^T, applied as rank-one updates, and P^-1 the reversed
+    product of their inverses 1 - c (Jc)^T.
+    """
     page = SurfaceSig(g, b)
     k = h1_rank(page)
-    shifts = [0, 0, 1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1]
     j = intersection_form(page).entries
     p = [[int(r == s) for s in range(k)] for r in range(k)]
     p_inv = [row[:] for row in p]
@@ -273,10 +271,27 @@ def test_h1_of_dense_rank_60_conjugate_in_closed_form():
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1(m))
     begin = time.perf_counter()
     h1 = h1_open_book(spec)
-    spent = time.perf_counter() - begin
-    assert h1 == AbelianGroup(b - 1 + 2, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
+    return h1, time.perf_counter() - begin
+
+
+def test_h1_of_dense_rank_60_conjugate_in_closed_form():
+    # The two zero shifts add to the free rank, and the other torsion orders
+    # already divide one another in sorted order.
+    shifts = [0, 0, 1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1]
+    h1, spent = _dense_conjugate_h1(make_rng(35), 20, 21, shifts)
+    assert h1 == AbelianGroup(20 + 2, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
     # Carrying the transforms U and V takes over 20 s here.
     assert spent < 10.0, f"H_1 at rank 60 took {spent:.2f}s"
+
+
+def test_h1_of_dense_rank_80_conjugate_in_closed_form():
+    # F(27, 27) has rank 80.  Three zero shifts add to the free rank; the
+    # torsion orders 2, 4, 12, 24, 48 divide one another in sorted order.
+    shifts = [0, 0, 0, 1, -1, 1, -1, 2, -2, 2, 2, 4, -4, 4, 12, -12, 12,
+              24, 24, -24, 48, 1, 1, -1, 1, -1, 1]
+    h1, spent = _dense_conjugate_h1(make_rng(36), 27, 27, shifts)
+    assert h1 == AbelianGroup(26 + 3, (2, 2, 2, 2, 4, 4, 4, 12, 12, 12, 24, 24, 24, 48))
+    assert spent < 10.0, f"H_1 at rank 80 took {spent:.2f}s"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from tribranch import (
     validate_pants,
 )
 from tribranch.schema import parse_decomposition
-from tribranch.surfaces import components
+from tribranch.surfaces import components, cut_structure
 
 from genutils import make_rng, random_decomposition, random_page
 
@@ -136,6 +136,22 @@ def test_cut_components_unknown_curve():
     pd = standard_decomposition(sig)
     with pytest.raises(TribranchError):
         cut_components(sig, pd, {"nope"})
+
+
+@pytest.mark.parametrize("stray", ["leg", "curve_end"])
+def test_cut_on_unknown_pants_is_a_domain_error(stray):
+    # Pants P and Q; either leg 2 or an end of curve c2 sits on pants Z.
+    edges = {"c1": (("P", 1), ("Q", 1)), "c2": (("P", 2), ("Q", 2))}
+    legs = {1: ("P", 3), 2: ("Q", 3)}
+    if stray == "leg":
+        legs[2] = ("Z", 1)
+    else:
+        edges["c2"] = (("P", 2), ("Z", 2))
+    pd = PantsDecomposition(pants=frozenset({"P", "Q"}), edges=edges, legs=legs)
+    for call in (lambda: cut_structure(pd, {"c1"}),
+                 lambda: cut_components(SurfaceSig(1, 2), pd, {"c2"})):
+        with pytest.raises(TribranchError, match="unknown pants \\['Z'\\]"):
+            call()
 
 
 def test_cut_components_all_removed_recovers_surface():
