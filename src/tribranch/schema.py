@@ -122,7 +122,7 @@ def parse_decomposition(doc: dict, where: str = "pants_path.start") -> PantsDeco
             key = int(label)
         except ValueError:
             key = None
-        if str(key) != label:
+        if key is None or str(key) != label:
             raise SchemaError(
                 f"{where}.legs key {label!r} is not a canonical integer label")
         legs[key] = _cuff(cuff, f"{where}.legs.{label}")

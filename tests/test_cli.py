@@ -283,9 +283,11 @@ def test_malformed_spec_is_a_schema_failure(mutate, tmp_path):
     {"1": ["P0", 1], "2": ["P0", 2], " 3": ["P0", 3]},
     {"1": ["P0", 1], "2": ["P0", 2], "+3": ["P0", 3]},
     {"1": ["P0", 1], "2": ["P0", 2], "1_0": ["P0", 3]},
-], ids=["leading_zero", "space", "plus", "underscore"])
+    {"1": ["P0", 1], "2": ["P0", 2], "None": ["P0", 3]},
+], ids=["leading_zero", "space", "plus", "underscore", "none"])
 def test_non_canonical_leg_label_is_a_schema_failure(legs, tmp_path):
-    # int() reads each of these keys; "3" and "03" would merge into one leg.
+    # int() reads the first four keys; "3" and "03" would merge into one leg.
+    # int() rejects "None", but str(None) == "None" must not let it through.
     start = {"pants": ["P0"], "edges": {}, "legs": legs}
     doc = {"page": {"genus": 0, "boundary": 3},
            "monodromy": {"h1_matrix": [[1, 0], [0, 1]],
