@@ -397,6 +397,14 @@ def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_che
         "surfaces.vertex_map_from_curve_bijection",
         "complexes.check_local_models",
     )
+    inventory = tribranch.TribranchedComplex.inventory
+    calls["inventory"] = 0
+
+    def counted_inventory(tc):
+        calls["inventory"] += 1
+        return inventory(tc)
+
+    monkeypatch.setattr(tribranch.TribranchedComplex, "inventory", counted_inventory)
     code, out, _ = run(capsys, *argv)
     assert code in (0, 1)
     assert "inventory" in report_of(out)
@@ -407,6 +415,8 @@ def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_che
         "validate_pants": n_moves + 1,
         "vertex_map_from_curve_bijection": 1,
         "check_local_models": local_model_checks,
+        # Once, for the complex document; the report reuses it.
+        "inventory": 1,
     }
 
 
@@ -419,3 +429,48 @@ def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):
         code, out, _ = run(capsys, verb, spec, "--quiet")
         assert code == 1
         assert "matrix-dimension" in {e["code"] for e in report_of(out)["validation"]}
+
+
+def test_parser_reuse_keeps_no_flags_between_calls(capsys):
+    path = FIXTURES / "f05_identity.json"
+    code, out, _ = run(capsys, "certify", path, "--quiet", "--timings")
+    assert code == 0 and report_of(out)["timings"] is not None
+    code, out, _ = run(capsys, "certify", path, "--quiet")
+    assert code == 0 and report_of(out)["timings"] is None
+    fresh = _run_cli("certify", path, "--quiet")
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
+
+
+def test_failed_calls_leave_later_reports_unchanged(capsys):
+    path = FIXTURES / "f05_identity.json"
+    code, before, _ = run(capsys, "certify", path, "--quiet")
+    assert code == 0
+    code, out, err = run(capsys, "certify", FIXTURES / "truncated.json", "--quiet")
+    assert code == 2 and out == "" and "not valid JSON" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", str(path), "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, after, _ = run(capsys, "certify", path, "--quiet")
+    assert code == 0 and after == before
+
+
+def test_main_builds_the_parsers_once(monkeypatch, capsys):
+    import argparse
+    from tribranch import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for verb in ("validate", "homology", "certify"):
+        code, _, _ = run(capsys, verb, FIXTURES / "f05_identity.json", "--quiet")
+        assert code == 0
+    # The top-level parser and one per verb.
+    assert len(built) == 5

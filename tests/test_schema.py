@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,37 @@ def test_curve_permuting_closure_construction():
     assert euler_audit(tc).ok
     assert tc.is_connected()
     assert len(tc.circles) == 2 * 2 + 1 * 2
+
+
+def _documents_written(monkeypatch, *argv):
+    """The documents ``cli.main`` serializes on one run, in order."""
+    from tribranch import cli
+
+    docs = []
+
+    def capture(doc):
+        docs.append(doc)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(cli, "canonical_json", capture)
+    assert cli.main([str(a) for a in argv]) == 0
+    return docs
+
+
+@pytest.mark.parametrize("argv, formats", [
+    (["certify", "--quiet"], ["tribranch-complex/1", "tribranch-report/1"]),
+    (["certify", "--quiet", "--timings"], ["tribranch-complex/1", "tribranch-report/1"]),
+    (["construct", "--quiet", "--mode", "outer"], ["tribranch-complex/1", "tribranch-report/1"]),
+], ids=["f05-report", "timings-report", "complex-document"])
+def test_canonical_json_equals_json_dumps_on_written_documents(
+        argv, formats, monkeypatch, tmp_path, capsys):
+    f05 = Path(__file__).parent / "fixtures" / "f05_identity.json"
+    verb, *flags = argv
+    if verb == "construct":
+        flags += ["--out", tmp_path / "complex.json"]
+    docs = _documents_written(monkeypatch, verb, f05, *flags)
+    assert [doc["format"] for doc in docs] == formats
+    if "--timings" in flags:
+        assert isinstance(docs[-1]["timings"]["seconds"], float)
+    for doc in docs:
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
