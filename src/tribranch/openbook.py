@@ -70,7 +70,7 @@ def intersection_form(page: SurfaceSig) -> IntMatrix:
     for i in range(page.genus):
         rows[2 * i][2 * i + 1] = 1
         rows[2 * i + 1][2 * i] = -1
-    return IntMatrix.from_rows(rows) if k else IntMatrix(0, 0, ())
+    return IntMatrix.from_rows(rows)
 
 
 def transvection(j_form: IntMatrix, c) -> IntMatrix:
@@ -89,7 +89,7 @@ def transvection(j_form: IntMatrix, c) -> IntMatrix:
         [(1 if i == j else 0) + c[i] * jc[j] for j in range(k)]
         for i in range(k)
     ]
-    return IntMatrix.from_rows(rows) if k else IntMatrix(0, 0, ())
+    return IntMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,18 @@ def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
     return CheckedSpec(spec, report, decomps, closure_map)
 
 
+def _checked_shapes(spec: OpenBookSpec) -> tuple:
+    """The action matrix and the windings, once they are k x k and k x b."""
+    page = spec.page
+    k, b = h1_rank(page), page.n_boundary
+    m, w = spec.monodromy.matrix, spec.winding_matrix()
+    if (m.rows, m.cols) != (k, k):
+        raise MonodromyError(f"matrix is {m.rows}x{m.cols}, expected {k}x{k} for page {page}")
+    if (w.rows, w.cols) != (k, b):
+        raise MonodromyError(f"windings are {w.rows}x{w.cols}, expected {k}x{b}")
+    return m, w
+
+
 def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:
     """First homology of the closed manifold of the open book.
 
@@ -245,14 +257,8 @@ def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:
     report = validate_monodromy(spec.page, spec.monodromy)
     if not report.ok:
         raise MonodromyError(report.summary())
-    k = h1_rank(spec.page)
-    b = spec.page.n_boundary
-    m = spec.monodromy.matrix
-    w = spec.winding_matrix()
-    if (w.rows, w.cols) != (k, b):
-        raise MonodromyError(
-            f"windings are {w.rows}x{w.cols}, expected {k}x{b}"
-        )
+    m, w = _checked_shapes(spec)
+    k, b = w.rows, w.cols
     rows = []
     for i in range(k):
         rows.append(
@@ -320,54 +326,45 @@ def rank_certificate(spec: OpenBookSpec) -> RankCertificate:
 
 
 def _stabilized_basis_change(page: SurfaceSig, site: int) -> IntMatrix:
-    """Columns: the standard basis of the stabilized page, written in the
-    old basis of H_1 extended by the stabilizing-curve class e.
+    """P: its columns are the standard basis of the stabilized page, written
+    in the old basis of H_1 extended by the stabilizing-curve class e.
 
     Boundary bookkeeping: the handle splits circle ``site`` into two; the
     old label stays on the half missing the handle, the fresh label b+1
     names the half parallel to the stabilizing curve, whose class is e.
+    With k = 2g + b - 1 and e at index k, P is the identity except
+    P[r][k] = -1 for 2g <= r < k (circle b is minus the sum of the old
+    boundary classes), P[k][k] = -1 if site = b and 0 otherwise, and
+    P[k][2g + site - 1] = -1 when site < b.
     """
-    g, b = page.genus, page.n_boundary
-    k = h1_rank(page)
-    n = k + 1
-    cols = []
-    for i in range(2 * g):
-        col = [0] * n
-        col[i] = 1
-        cols.append(col)
-    for label in range(1, b + 1):
-        col = [0] * n
-        if label <= b - 1:
-            col[2 * g + label - 1] = 1
-            if label == site:
-                col[k] = -1
-        else:
-            # Circle b was never a basis vector: its class is minus the sum
-            # of the other old boundary classes.
-            for i in range(1, b):
-                col[2 * g + i - 1] = -1
-            if site == b:
-                col[k] = -1
-        cols.append(col)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    g, k = page.genus, h1_rank(page)
+    rows = [[int(r == c) for c in range(k + 1)] for r in range(k + 1)]
+    for r in range(2 * g, k):
+        rows[r][k] = -1
+    rows[k][k] = 0
+    rows[k][2 * g + site - 1] = -1  # index k itself when site = b
+    return IntMatrix.from_rows(rows)
 
 
-def _stabilized_basis_inverse(page: SurfaceSig, site: int) -> IntMatrix:
-    """The inverse of :func:`_stabilized_basis_change`, in closed form.
+def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
+    """P^-1 X for the basis change P of :func:`_stabilized_basis_change`.
 
     On the new page the boundary classes c'_1, ..., c'_{b+1} sum to zero and
     c'_{b+1} = e, so e = -(c'_1 + ... + c'_b); the old class c_site (site < b)
-    is c'_site + e, and every other old class keeps its coordinates.  Only
-    the c' rows differ from the identity.
+    is c'_site + e, and every other old class keeps its coordinates.  So
+    P^-1 is the identity except on the rows 2g <= r <= k, and row r of
+    P^-1 X is [r < k] X_r - X_k - [site < b] X_{2g+site-1}: row operations
+    in O(k) per row, with no inverse matrix built.  ``rows`` are the k + 1
+    rows of X, all of one length.
     """
-    g, b = page.genus, page.n_boundary
-    k = h1_rank(page)
-    rows = [[1 if i == j else 0 for j in range(k + 1)] for i in range(k + 1)]
-    for r in range(2 * g, k + 1):
-        rows[r][k] = -1
-        if site < b:
-            rows[r][2 * g + site - 1] -= 1
-    return IntMatrix.from_rows(rows)
+    g = page.genus
+    k = len(rows) - 1
+    zero = [0] * len(rows[k])
+    # When site = b the circle's index 2g + site - 1 is k itself.
+    site_row = rows[2 * g + site - 1] if 2 * g + site - 1 < k else zero
+    changed = [[x - y - z for x, y, z in zip(rows[r] if r < k else zero, rows[k], site_row)]
+               for r in range(2 * g, k + 1)]
+    return IntMatrix.from_rows(list(rows[:2 * g]) + changed)
 
 
 @dataclass(frozen=True)
@@ -388,6 +385,13 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     homology and is recorded as the winding of the new circle; this keeps
     the homology of the ambient manifold unchanged.
 
+    With k = 2g + b - 1 and e at index k, the new action is P^-1 (E P) and
+    the new windings P^-1 W, for the basis change P and the row operations
+    P^-1 given on the two helpers above.  E is the old action extended by
+    the identity on e; W is the old windings with circle ``site``'s column
+    copied onto the fresh circle, plus a row for e that is 1 on the fresh
+    circle only.  Both cost O(k^2); no product is formed.
+
     The pants path does not transport through a stabilization: the model
     tracks no isotopy data, so silently reusing the old path would fabricate
     disjointness information.  By default the path is cleared.  With
@@ -398,30 +402,24 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     g, b = spec.page.genus, spec.page.n_boundary
     if site < 1 or site > b:
         raise TribranchError(f"site {site} not a boundary label 1..{b}")
-    k = h1_rank(spec.page)
     new_page = SurfaceSig(genus=g, n_boundary=b + 1)
 
+    old, old_w = _checked_shapes(spec)
     p = _stabilized_basis_change(spec.page, site)
-    p_inv = _stabilized_basis_inverse(spec.page, site)
 
-    # Action on H_1 of the new page: the old action extended by the identity
-    # on the handle class, conjugated into the new standard basis.  The added
-    # twist is along a boundary-parallel curve and acts trivially here.
-    old = spec.monodromy.matrix
-    extended = IntMatrix.from_rows(
-        [list(old.entries[i]) + [0] for i in range(k)] + [[0] * k + [1]]
-    )
-    new_matrix = p_inv.mul(extended).mul(p)
+    # Row i < k of E P is row i of the old action followed by minus its sum
+    # over the old boundary classes; row k is row k of P.  The added twist
+    # is along a boundary-parallel curve and acts trivially here.
+    ep = [list(row) + [-sum(row[2 * g:])] for row in old.entries]
+    ep.append(p.entries[-1])
+    new_matrix = _to_stabilized_basis(spec.page, site, ep)
 
     # Windings: old circles keep their (transported) windings; the fresh
     # circle b+1 picks up the stabilizing-curve class e on top of whatever
     # the old site circle carried.
-    old_w = spec.winding_matrix()
-    carried = [
-        list(old_w.entries[i]) + [old_w.entries[i][site - 1]] for i in range(k)
-    ]
+    carried = [list(row) + [row[site - 1]] for row in old_w.entries]
     carried.append([0] * b + [1])
-    new_w = p_inv.mul(IntMatrix.from_rows(carried))
+    new_w = _to_stabilized_basis(spec.page, site, carried)
 
     notes = [f"stabilized at boundary circle {site}: page {spec.page} -> {new_page}"]
     new_path = None

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -28,7 +29,7 @@ from tribranch import (
 )
 from tribranch.openbook import (
     _stabilized_basis_change,
-    _stabilized_basis_inverse,
+    _to_stabilized_basis,
     preserves_intersection_form,
 )
 
@@ -348,9 +349,88 @@ def test_stabilized_basis_inverse_closed_form():
             n = h1_rank(page) + 1
             for site in range(1, b + 1):
                 p = _stabilized_basis_change(page, site)
-                p_inv = _stabilized_basis_inverse(page, site)
-                assert p_inv.mul(p) == IntMatrix.identity(n), (g, b, site)
-                assert p.mul(p_inv) == IntMatrix.identity(n), (g, b, site)
+                one = IntMatrix.identity(n)
+                p_inv = _to_stabilized_basis(page, site, one.entries)
+                assert _to_stabilized_basis(page, site, p.entries) == one, (g, b, site)
+                assert p.mul(p_inv) == one, (g, b, site)
+
+
+def _column_basis_change(page, site):
+    """The basis change P built column by column: the oracle for the closed form."""
+    g, b = page.genus, page.n_boundary
+    k = h1_rank(page)
+    n = k + 1
+    cols = []
+    for i in range(2 * g):
+        col = [0] * n
+        col[i] = 1
+        cols.append(col)
+    for label in range(1, b + 1):
+        col = [0] * n
+        if label <= b - 1:
+            col[2 * g + label - 1] = 1
+            if label == site:
+                col[k] = -1
+        else:
+            # Circle b was never a basis vector: its class is minus the sum
+            # of the other old boundary classes.
+            for i in range(1, b):
+                col[2 * g + i - 1] = -1
+            if site == b:
+                col[k] = -1
+        cols.append(col)
+    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def test_stabilized_basis_change_matches_column_oracle():
+    for g in range(3):
+        for b in range(1, 9):
+            page = SurfaceSig(g, b)
+            for site in range(1, b + 1):
+                closed_form = _stabilized_basis_change(page, site)
+                assert closed_form == _column_basis_change(page, site), (g, b, site)
+
+
+def test_stabilize_agrees_with_the_product_formula():
+    # The new action M' and windings W' satisfy P M' = E P and P W' = carried,
+    # where E is the old action extended by the identity on the handle class
+    # and carried copies the site circle's winding onto the fresh circle.
+    rng = make_rng(37)
+    for g in range(4):
+        for b in range(1, 8):
+            page = SurfaceSig(g, b)
+            k = h1_rank(page)
+            for site, with_windings in itertools.product(range(1, b + 1), (False, True)):
+                rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+                w = None
+                if with_windings and k:
+                    w = IntMatrix.from_rows(
+                        [[rng.randint(-9, 9) for _ in range(b)] for _ in range(k)]
+                    )
+                m = MonodromyH1(IntMatrix.from_rows(rows))
+                spec = OpenBookSpec(page=page, monodromy=m, windings=w)
+                res = stabilize(spec, site=site)
+                p = _column_basis_change(page, site)
+                assert res.change_of_basis == p
+                extended = IntMatrix.from_rows([row + [0] for row in rows] + [[0] * k + [1]])
+                assert p.mul(res.spec.monodromy.matrix) == extended.mul(p), (g, b, site)
+                old_w = spec.winding_matrix().entries
+                carried = [list(row) + [row[site - 1]] for row in old_w] + [[0] * b + [1]]
+                assert p.mul(res.spec.windings) == IntMatrix.from_rows(carried), (g, b, site)
+
+
+def test_stabilize_rejects_wrongly_shaped_input():
+    page = SurfaceSig(1, 3)
+    cases = [
+        (IntMatrix.identity(3), None, 1, "matrix is 3x3, expected 4x4 for page"),
+        (IntMatrix.identity(4), IntMatrix.zeros(4, 2), 3, "windings are 4x2, expected 4x3"),
+        (IntMatrix.identity(4), IntMatrix.zeros(3, 3), 1, "windings are 3x3, expected 4x3"),
+        (IntMatrix.identity(4), IntMatrix.zeros(5, 3), 1, "windings are 5x3, expected 4x3"),
+    ]
+    for matrix, windings, site, message in cases:
+        spec = OpenBookSpec(page=page, monodromy=MonodromyH1(matrix), windings=windings)
+        with pytest.raises(MonodromyError, match=message):
+            stabilize(spec, site=site)
 
 
 def test_stabilize_ladder_to_rank_42_keeps_h1():
