@@ -250,15 +250,19 @@ def invariant_factors(a: IntMatrix) -> tuple:
     """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
     One :func:`_fraction_free` pass gives the rank r and a nonzero r x r
-    minor D.  The matrix is diagonalised over Z/DZ by extended-gcd row steps;
-    a pivot that does not divide its row is cleared the same way after a
-    transpose, which keeps the invariant factors.  Each diagonal entry d
-    stands for gcd(d, D), the positions left over for D, and gcd/lcm pairs
-    sort these into a divisibility chain whose first r entries are s_1..s_r.
+    minor D.  Rows and columns that are zero modulo D are dropped and the
+    rest is diagonalised over Z/DZ by extended-gcd row steps; a pivot that
+    does not divide its row is cleared the same way after a transpose, which
+    keeps the invariant factors.  Each diagonal entry d stands for
+    gcd(d, D), the positions left over (the dropped ones among them) for D,
+    and gcd/lcm pairs sort these into a divisibility chain whose first r
+    entries are s_1..s_r.
     """
     rank, _, d = _fraction_free(a.entries)
     d = abs(d)
-    block = [[x % d for x in row] for row in a.entries]
+    block = [row for row in ([x % d for x in row] for row in a.entries) if any(row)]
+    kept = [j for j in range(a.cols) if any(row[j] for row in block)]
+    block = [[row[j] for j in kept] for row in block]
     chain = []
     while True:
         pos = next(((i, j) for i, row in enumerate(block)

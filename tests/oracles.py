@@ -1,17 +1,36 @@
-"""Exhaustive reference versions of the isomorphism routines in ``surfaces``.
+"""Reference versions of package routines, for the property suites only.
 
-Each tries every vertex bijection in lexicographic order, so it costs V!
-and is meant for the few pants of the property suites only.  The package
-routines must return exactly what these return: equal canonical keys for
-exactly the leg-respecting isomorphic pairs, and the same lexicographically
-smallest vertex maps.
+The isomorphism routines of ``surfaces`` are tried here on every vertex
+bijection in lexicographic order, so each costs V! and is meant for the few
+pants of the property suites.  The package routines must return exactly
+what these return: equal canonical keys for exactly the leg-respecting
+isomorphic pairs, and the same lexicographically smallest vertex maps.
+
+``h1_presentation`` is the H_1 presentation of an open book with nothing
+eliminated; ``openbook.h1_open_book`` must give its cokernel.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from tribranch.intalg import IntMatrix
 from tribranch.surfaces import PantsDecomposition
+
+
+def h1_presentation(spec) -> IntMatrix:
+    """The (k + 1) x (k + b) matrix [[M - 1, W], [0, 1 ... 1]] of an open book.
+
+    Rows are the basis of H_1(page) and the suspension class t; columns are
+    the relations (M - 1) e_j for every basis class, boundary classes
+    included, and t + w_i for every boundary circle.
+    """
+    m, w = spec.monodromy.matrix, spec.winding_matrix()
+    k, b = w.rows, w.cols
+    rows = [[m.entries[i][j] - (i == j) for j in range(k)] + list(w.entries[i])
+            for i in range(k)]
+    rows.append([0] * k + [1] * b)
+    return IntMatrix.from_rows(rows)
 
 
 def canonical_key(pd: PantsDecomposition) -> tuple:

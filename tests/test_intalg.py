@@ -276,6 +276,14 @@ def test_invariant_factors_named_cases_mod_d():
     assert invariant_factors(IntMatrix.from_rows([[-4, -4], [-2, -5]])) == (1, 12)
     # Rank 1 of 2: the zero factor is not D = 3.
     assert invariant_factors(IntMatrix.from_rows([[3, 6], [6, 12]])) == (3, 0)
+    # D = 2: the column (4, 0) is nonzero over Z but zero mod D, like the
+    # whole matrix, so both positions are padding and only the first is s_1.
+    assert invariant_factors(IntMatrix.from_rows([[2, 4], [0, 0]])) == (2, 0)
+    # D = 24 and a zero row between nonzero rows: the diagonal 6, 4 and the
+    # padding 24 sort into 2 | 12 | 24, and rank 2 makes the last one 0.
+    assert invariant_factors(IntMatrix.from_rows([[6, 0, 12], [0, 0, 0], [0, 4, 0]])) == (2, 12, 0)
+    # D = 15 with the middle row and the middle column zero.
+    assert invariant_factors(IntMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 5]])) == (1, 15, 0)
 
 
 def test_bezout_keeps_a_dividing_pivot():

@@ -14,6 +14,7 @@ from tribranch import (
     PantsPath,
     SurfaceSig,
     TribranchError,
+    cokernel,
     h1_open_book,
     h1_rank,
     intersection_form,
@@ -27,6 +28,7 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
+from tribranch import openbook
 from tribranch.openbook import (
     _stabilized_basis_change,
     _to_stabilized_basis,
@@ -34,6 +36,7 @@ from tribranch.openbook import (
 )
 
 from genutils import make_rng, random_monodromy, random_page
+from oracles import h1_presentation
 
 
 def identity_spec(g, b, **kw):
@@ -193,6 +196,56 @@ def test_h1_rejects_invalid_monodromy():
     )
     with pytest.raises(MonodromyError):
         h1_open_book(spec)
+
+
+def _presentation_specs(rng):
+    """Specs on every page with g <= 3 and b <= 6: transvection products with
+    zero or random windings, and stabilization chains up to b = 6."""
+    for g in range(4):
+        for b in range(1, 7):
+            page = SurfaceSig(g, b)
+            k = h1_rank(page)
+            for n in range(60):
+                windings = None
+                if n % 2:
+                    windings = IntMatrix(k, b, tuple(
+                        tuple(rng.randint(-4, 4) for _ in range(b)) for _ in range(k)))
+                monodromy = random_monodromy(page, rng, twists=rng.randint(0, 4))
+                spec = OpenBookSpec(page=page, monodromy=monodromy, windings=windings)
+                yield spec
+                while n < 10 and spec.page.n_boundary < 6:
+                    spec = stabilize(spec, rng.randint(1, spec.page.n_boundary)).spec
+                    yield spec
+
+
+def _snf_cokernel(a):
+    factors = [d for d in smith_normal_form(a).invariant_factors if d]
+    return AbelianGroup(a.rows - len(factors), tuple(d for d in factors if d > 1))
+
+
+def test_h1_equals_the_full_presentation_oracle():
+    # Each spec's square k x k matrix against the Smith normal form of the
+    # (k + 1) x (k + b) presentation with t and the boundary columns kept.
+    # F(0, 1) gives a 0 x 0 matrix; b = 1 leaves no winding columns.
+    count = 0
+    for spec in _presentation_specs(make_rng(38)):
+        assert h1_open_book(spec) == _snf_cokernel(h1_presentation(spec)), spec
+        count += 1
+    assert count >= 2000
+
+
+def test_h1_eliminates_the_suspension_row_and_boundary_columns(monkeypatch):
+    shapes = []
+
+    def spy(a):
+        shapes.append((a.rows, a.cols))
+        return cokernel(a)
+
+    monkeypatch.setattr(openbook, "cokernel", spy)
+    for g, b in [(0, 1), (0, 4), (2, 1), (2, 3), (3, 6)]:
+        h1_open_book(identity_spec(g, b))
+        k = h1_rank(SurfaceSig(g, b))
+        assert shapes.pop() == (k, 2 * g + b - 1), (g, b)
 
 
 def test_rank_certificate_fixtures():
