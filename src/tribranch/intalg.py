@@ -45,7 +45,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple([tuple([int(x) for x in row]) for row in rows])
         n_rows = len(entries)
         n_cols = len(entries[0]) if entries else 0
         return IntMatrix(n_rows, n_cols, entries)

@@ -27,7 +27,10 @@ which is weaker than isotopy classes of curve systems on the surface, but it
 is exactly the granularity the downstream constructions consume.  Each
 candidate costs one :func:`canonical_key`, a colour refinement rather than a
 loop over vertex orders, so the cost of a search follows the number of
-candidates it generates.
+candidates it generates.  A node's candidates are the two genuine
+re-pairings of each of its non-loop curves: an S-move, or an A-move that
+keeps the original grouping, only renames the curve and permutes slots on
+its support pants, so it never leaves the node's class.
 """
 
 from __future__ import annotations
@@ -119,8 +122,16 @@ def enumerate_pairings(pd: PantsDecomposition, removed: CurveId) -> list:
     """The three two-and-two re-pairings of an A-move support, in a fixed order.
 
     Index 0 keeps the original grouping; indices 1 and 2 are the two genuine
-    re-distributions.  This ordering is the tie-break used by the search.
+    re-distributions, and the search expands only those two, in this order.
+    Index 0 gives a decomposition in the class of ``pd``: the support pants
+    keep their cuffs and only the slots and the curve id change.  Raises
+    :class:`MoveError` on an unknown curve or a self-loop, whose S-move
+    support has no re-pairing.
     """
+    if move_kind(pd, removed) == S_MOVE:
+        raise MoveError(
+            f"curve {removed!r} is a self-loop: an S-move support has no re-pairing"
+        )
     cuffs = sorted(_support_cuffs(pd, removed))
     a = cuffs[0]
     rest = cuffs[1:]
@@ -355,11 +366,14 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     """Breadth-first search for a move sequence from ``c`` onto ``c_target``.
 
     The search runs over leg-respecting isomorphism classes of decorated
-    graphs, expanding every A-move re-pairing (in the canonical pairing
-    order) and every S-move, curve ids in sorted order.  At most ``budget``
-    nodes are expanded; exhaustion returns ``None`` (not an error).  On
-    success the returned path carries the found isomorphism as its closure
-    and always satisfies :func:`validate_path`.
+    graphs, expanding the two genuine re-pairings of every non-loop curve
+    (indices 1 and 2 of :func:`enumerate_pairings`), curve ids in sorted
+    order.  S-moves and index 0 are skipped: they land in the class of the
+    node being expanded, which is already seen, so expanding them would
+    change neither the moves, nor the fresh ids, nor the closure.  At most
+    ``budget`` nodes are expanded; exhaustion returns ``None`` (not an
+    error).  On success the returned path carries the found isomorphism as
+    its closure and always satisfies :func:`validate_path`.
     """
     if budget < 1:
         raise TribranchError("budget must be a positive integer")
@@ -399,10 +413,10 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
         pd, moves = queue.popleft()
         expanded += 1
         for curve in pd.curve_ids():
-            kind = move_kind(pd, curve)
-            pairings = [None] if kind == S_MOVE else enumerate_pairings(pd, curve)
-            for pairing in pairings:
-                mv = PantsMove(curve, fresh, kind, pairing)
+            if pd.is_self_loop(curve):
+                continue
+            for pairing in enumerate_pairings(pd, curve)[1:]:
+                mv = PantsMove(curve, fresh, A_MOVE, pairing)
                 nxt = apply_move(pd, mv)
                 key = canonical_key(nxt)
                 if key in seen:

@@ -8,14 +8,29 @@ isomorphic pairs, and the same lexicographically smallest vertex maps.
 
 ``h1_presentation`` is the H_1 presentation of an open book with nothing
 eliminated; ``openbook.h1_open_book`` must give its cokernel.
+
+``search_path_all_moves`` is the breadth-first search expanding every move,
+S-moves and the re-pairing that keeps the original grouping included;
+``paths.search_path`` must return the same moves and closure.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from tribranch.intalg import IntMatrix
+from tribranch.paths import (
+    S_MOVE,
+    PantsMove,
+    PantsPath,
+    apply_move,
+    enumerate_pairings,
+    move_kind,
+)
 from tribranch.surfaces import PantsDecomposition
+from tribranch.surfaces import canonical_key as package_canonical_key
+from tribranch.surfaces import find_isomorphism as package_find_isomorphism
 
 
 def h1_presentation(spec) -> IntMatrix:
@@ -98,4 +113,46 @@ def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition
                     break
         if ok:
             return vmap
+    return None
+
+
+def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,
+                          budget: int):
+    """``search_path`` generating every candidate of a node, in the same order.
+
+    Each curve in sorted order contributes its S-move, or its three A-move
+    re-pairings in the order of ``enumerate_pairings``; a fresh id is used up
+    only by a candidate whose class is new.  Inputs are not checked.
+    """
+    target_key = package_canonical_key(c_target)
+
+    def finish(pd, moves):
+        _, emap = package_find_isomorphism(pd, c_target)
+        return PantsPath(start=c, moves=moves, closure=dict(emap))
+
+    start_key = package_canonical_key(c)
+    if start_key == target_key:
+        return finish(c, [])
+    fresh_ids = (f"n{j}" for j in itertools.count(1) if f"n{j}" not in c.edges)
+    fresh = next(fresh_ids)
+    seen = {start_key}
+    queue = deque([(c, [])])
+    expanded = 0
+    while queue and expanded < budget:
+        pd, moves = queue.popleft()
+        expanded += 1
+        for curve in pd.curve_ids():
+            kind = move_kind(pd, curve)
+            pairings = [None] if kind == S_MOVE else enumerate_pairings(pd, curve)
+            for pairing in pairings:
+                mv = PantsMove(curve, fresh, kind, pairing)
+                nxt = apply_move(pd, mv)
+                key = package_canonical_key(nxt)
+                if key in seen:
+                    continue
+                fresh = next(fresh_ids)
+                seen.add(key)
+                if key == target_key:
+                    return finish(nxt, moves + [mv])
+                queue.append((nxt, moves + [mv]))
     return None

@@ -26,6 +26,8 @@ from tribranch import (
     validate_path,
 )
 
+import oracles
+from tribranch import paths
 from genutils import (
     inverse_move,
     make_rng,
@@ -83,6 +85,19 @@ def test_unknown_and_clashing_curves_rejected():
         apply_move(pd, PantsMove("zz", "x", A_MOVE))
     with pytest.raises(MoveError, match="already present"):
         apply_move(pd, PantsMove("c1", "c1", A_MOVE))
+
+
+def test_enumerate_pairings_rejects_unknown_curve():
+    pd = standard_decomposition(SurfaceSig(0, 4))
+    with pytest.raises(MoveError, match="unknown curve"):
+        enumerate_pairings(pd, "zz")
+
+
+def test_enumerate_pairings_rejects_self_loop():
+    pd = standard_decomposition(SurfaceSig(1, 2))
+    assert pd.is_self_loop("c2")
+    with pytest.raises(MoveError, match="self-loop"):
+        enumerate_pairings(pd, "c2")
 
 
 def make_f12_loop_shape():
@@ -402,3 +417,129 @@ def test_search_result_validates_on_monodromy_image_targets():
     path = search_path(a, b, budget=100)
     assert path is not None
     assert validate_path(path, MonodromyH1.identity(sig)).ok
+
+
+# ---------------------------------------------------------------------------
+# Moves that never leave a class, and the search that skips them
+# ---------------------------------------------------------------------------
+
+
+def test_s_moves_and_original_grouping_keep_the_class():
+    """An S-move and re-pairing 0 only rename the curve and permute slots, so
+    the key never changes; re-pairings 1 and 2 can stay in the class too, so
+    only the search's seen set can skip them."""
+    rng = random.Random(11)
+    kept = s_moves = genuine_stay = genuine_leave = 0
+    for _ in range(400):
+        sig = random_page(rng, g_max=2, b_max=5)
+        pd = random_decomposition(sig, rng, scramble=rng.randint(0, 6))
+        key = canonical_key(pd)
+        small = pd.n_pants <= 6
+        oracle_key = oracles.canonical_key(pd) if small else None
+        for curve in pd.curve_ids():
+            if move_kind(pd, curve) == S_MOVE:
+                same = [apply_move(pd, PantsMove(curve, "z", S_MOVE))]
+                genuine = []
+                s_moves += 1
+            else:
+                pairings = enumerate_pairings(pd, curve)
+                same = [apply_move(pd, PantsMove(curve, "z", A_MOVE, pairings[0]))]
+                genuine = [apply_move(pd, PantsMove(curve, "z", A_MOVE, p))
+                           for p in pairings[1:]]
+            for out in same:
+                assert canonical_key(out) == key
+                if small:
+                    assert oracles.canonical_key(out) == oracle_key
+                kept += 1
+            for out in genuine:
+                if canonical_key(out) == key:
+                    genuine_stay += 1
+                else:
+                    genuine_leave += 1
+    assert kept > 1000 and s_moves > 100
+    assert genuine_stay > 0 and genuine_leave > 0
+
+
+def search_cases():
+    """Seeded start/target pairs on pages of genus 0, 1 and 2 with V <= 5."""
+    rng = random.Random(23)
+    cases = []
+    for g, bs in ((0, (4, 5, 6, 7)), (1, (1, 2, 3, 4, 5)), (2, (1, 2, 3))):
+        for b in bs:
+            sig = SurfaceSig(g, b)
+            for _ in range(2):
+                start = random_decomposition(sig, rng, scramble=rng.randint(0, 4))
+                target = random_decomposition(sig, rng, scramble=rng.randint(1, 4))
+                cases.append((start, target))
+    return cases
+
+
+def result_json(path):
+    if path is None:
+        return None
+    return [m.to_json() for m in path.moves], dict(path.closure)
+
+
+def threshold_budget(start, target, cap=4096):
+    """The smallest budget at which the all-moves oracle finds the target."""
+    lo, hi = 1, 1
+    while oracles.search_path_all_moves(start, target, hi) is None:
+        assert hi < cap, "target not found within the cap"
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if oracles.search_path_all_moves(start, target, mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
+def test_search_matches_the_all_moves_oracle():
+    cases = search_cases()
+    found = exhausted = 0
+    for start, target in cases:
+        t = threshold_budget(start, target)
+        budgets = sorted({1, 2, 3, max(1, t - 1), t, t + 1, 2 * t + 5}
+                         | {2 ** j for j in range(t.bit_length())})
+        for budget in budgets:
+            want = result_json(oracles.search_path_all_moves(start, target, budget))
+            got = result_json(search_path(start, target, budget))
+            assert got == want, (start.surface_sig(), budget)
+            if want is None:
+                exhausted += 1
+            else:
+                found += 1
+    assert found > 0 and exhausted > 0
+
+
+def test_search_applies_only_the_genuine_repairings(monkeypatch):
+    """Every expanded node applies re-pairings 1 and 2 of each non-loop curve,
+    in order, and nothing else; the last node may stop at the target."""
+    applied = []
+    real_apply_move = paths.apply_move
+
+    def spy(pd, mv):
+        assert mv.kind != S_MOVE, "the search applied an S-move"
+        applied.append((pd, mv))
+        return real_apply_move(pd, mv)
+
+    monkeypatch.setattr(paths, "apply_move", spy)
+    n_loops = 0
+    for start, target in search_cases():
+        applied.clear()
+        result = search_path(start, target, budget=10_000)
+        assert result is not None
+        groups = []
+        for pd, mv in applied:
+            if not groups or groups[-1][0] is not pd:
+                groups.append((pd, []))
+            groups[-1][1].append((mv.removed, mv.pairing))
+        for i, (pd, got) in enumerate(groups):
+            n_loops += sum(pd.is_self_loop(c) for c in pd.edges)
+            want = [(c, p) for c in pd.curve_ids() if not pd.is_self_loop(c)
+                    for p in enumerate_pairings(pd, c)[1:]]
+            if i == len(groups) - 1:
+                want = want[:len(got)]
+            assert got == want
+    assert n_loops > 0
