@@ -34,7 +34,7 @@ from .openbook import rank_certificate, validate_spec
 from .schema import (
     REPORT_FORMAT,
     canonical_json,
-    complex_document,
+    complex_json,
     load_spec_file,
     sha256_hex,
 )
@@ -122,9 +122,8 @@ def cmd_construct(args) -> int:
     except TribranchError as err:
         report["error"] = str(err)
         return _emit(report, EXIT_DOMAIN, args, [f"construction failed: {err}"])
-    doc = complex_document(tc)
-    text = canonical_json(doc)
-    inv = report["inventory"] = doc["inventory"]
+    inv = report["inventory"] = tc.inventory()
+    text = complex_json(tc, inv)
     report["complex_sha256"] = sha256_hex(text.encode("utf-8"))
     audit = euler_audit(tc)
     report["euler_audit"] = audit.to_json()
@@ -178,9 +177,8 @@ def cmd_certify(args) -> int:
                      [f"local models dirty: {local.summary()}"])
     essentiality = check_essential(tc, cert)
     lap("essentiality")
-    doc = complex_document(tc)
-    report["inventory"] = doc["inventory"]
-    report["complex_sha256"] = sha256_hex(canonical_json(doc).encode("utf-8"))
+    inventory = report["inventory"] = tc.inventory()
+    report["complex_sha256"] = sha256_hex(complex_json(tc, inventory).encode("utf-8"))
     report["essentiality"] = essentiality.to_json()
     lap("serialization")
     if args.timings:

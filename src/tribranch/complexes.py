@@ -64,6 +64,12 @@ ANNULUS_TAXONOMIES = (HORIZONTAL_ANNULUS, PUSHOFF_ANNULUS, TORUS_ANNULUS)
 PRODUCT_BLOCK = "ProductBlock"
 SOLID_TORUS = "SolidTorus"
 
+# The surfaces the outer construction's branches and block bases are made of.
+PANTS = SurfaceSig(0, 3)
+FOUR_HOLED_SPHERE = SurfaceSig(0, 4)
+ONE_HOLED_TORUS = SurfaceSig(1, 1)
+ANNULUS = SurfaceSig(0, 2)
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -80,16 +86,6 @@ class Branch:
     level: int = None
     refs: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "sig": {"genus": self.sig.genus, "boundary": self.sig.n_boundary},
-            "taxonomy": self.taxonomy,
-            "slots": list(self.slots),
-            "level": self.level,
-            "refs": {k: self.refs[k] for k in sorted(self.refs)},
-        }
-
 
 @dataclass(frozen=True)
 class BranchingCircle:
@@ -97,9 +93,6 @@ class BranchingCircle:
 
     id: str
     germs: tuple  # three (branch_id, slot) pairs
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "germs": [list(g) for g in self.germs]}
 
 
 @dataclass(frozen=True)
@@ -115,16 +108,6 @@ class Block:
     base: SurfaceSig = None
     boundary_label: int = None
     pi1_rank_bound: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "base": None if self.base is None
-            else {"genus": self.base.genus, "boundary": self.base.n_boundary},
-            "boundary_label": self.boundary_label,
-            "pi1_rank_bound": self.pi1_rank_bound,
-        }
 
 
 def product_block(block_id: str, base: SurfaceSig) -> Block:
@@ -147,7 +130,8 @@ class TribranchedComplex:
     """Branches, branching circles, blocks, and their incidences.
 
     ``sides`` assigns each of the two sides of each branch to the block it
-    faces: branch id -> (block on side 0, block on side 1).
+    faces: branch id -> (block on side 0, block on side 1).  The complex's
+    JSON form is written by :func:`tribranch.schema.complex_json`.
     """
 
     branches: tuple
@@ -181,26 +165,6 @@ class TribranchedComplex:
         """Whether branches and circles, joined by the germs, form one piece."""
         nodes = [b.id for b in self.branches] + [c.id for c in self.circles]
         return len(components(nodes, [(c.id, g[0]) for c in self.circles for g in c.germs])) <= 1
-
-    def to_json(self) -> dict:
-        return {
-            "branches": [b.to_json() for b in self.branches],
-            "circles": [c.to_json() for c in self.circles],
-            "blocks": [b.to_json() for b in self.blocks],
-            "sides": {k: list(self.sides[k]) for k in sorted(self.sides)},
-            "meta": _meta_json(self.meta),
-            "inventory": self.inventory(),
-        }
-
-
-def _meta_json(meta: dict) -> dict:
-    out = {}
-    for key in sorted(meta):
-        value = meta[key]
-        if isinstance(value, SurfaceSig):
-            value = {"genus": value.genus, "boundary": value.n_boundary}
-        out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +272,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
         dep.append(frozenset(pd.edges) if degenerate else common_curves(pd, decomps[k + 1]))
         lookup = {}
         for i, comp in enumerate(cut_structure(pd, dep[k])):
-            if comp.sig not in (SurfaceSig(0, 3), SurfaceSig(0, 4), SurfaceSig(1, 1)):
+            if comp.sig not in (PANTS, FOUR_HOLED_SPHERE, ONE_HOLED_TORUS):
                 raise ConstructionError(f"level {k}: unexpected block base {comp.sig}")
             blocks.append(product_block(f"block:{k}:{i}", comp.sig))
             lookup.update(dict.fromkeys(comp.pants, f"block:{k}:{i}"))
@@ -334,7 +298,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
             raise ConstructionError(f"level {k}: cut pieces do not add up to the page")
         owner = {}
         for i, piece in enumerate(pieces):
-            allowed = (SurfaceSig(0, 4), SurfaceSig(1, 1)) if piece.glued else (SurfaceSig(0, 3),)
+            allowed = (FOUR_HOLED_SPHERE, ONE_HOLED_TORUS) if piece.glued else (PANTS,)
             if piece.sig not in allowed:
                 raise ConstructionError(f"level {k}: unexpected page piece {piece.sig}")
             branch_id = f"piece:{k}:{i}"
@@ -357,7 +321,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
             sides[branch_id] = (below[k][anchor], block_of[k][anchor])
         for curve in sorted(dep[k] & arr[k]):
             (p0, _), (p1, _) = pd.edges[curve]
-            branches.append(Branch(id=f"po:{k}:{curve}", sig=SurfaceSig(0, 2),
+            branches.append(Branch(id=f"po:{k}:{curve}", sig=ANNULUS,
                                    taxonomy=PUSHOFF_ANNULUS, slots=("inner", "outer"),
                                    level=k, refs={"curve": curve}))
             sides[f"po:{k}:{curve}"] = (below[k][p0], block_of[k][p1])
@@ -366,7 +330,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
         # its page pieces and the annulus arriving from below.
         for curve in sorted(dep[k]):
             (p0, _), (p1, _) = pd.edges[curve]
-            branches.append(Branch(id=f"h:{k}:{curve}", sig=SurfaceSig(0, 2),
+            branches.append(Branch(id=f"h:{k}:{curve}", sig=ANNULUS,
                                    taxonomy=HORIZONTAL_ANNULUS, slots=("start", "end"),
                                    level=k, refs={"curve": curve}))
             sides[f"h:{k}:{curve}"] = (block_of[k][p0], block_of[k][p1])
@@ -383,7 +347,7 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
                 germs=(mid, owner[("cut", curve, 1)], (h_id, "end")),
             ))
         for label in range(1, b + 1):
-            tori.append(Branch(id=f"ta:{label}:{k}", sig=SurfaceSig(0, 2),
+            tori.append(Branch(id=f"ta:{label}:{k}", sig=ANNULUS,
                                taxonomy=TORUS_ANNULUS, slots=("end0", "end1"),
                                level=k, refs={"boundary_label": label}))
             sides[f"ta:{label}:{k}"] = (block_of[k][pd.legs[label][0]], f"st:{label}")
@@ -407,8 +371,8 @@ def construct_outer(checked: CheckedSpec) -> TribranchedComplex:
         "degenerate_path_convention_used": degenerate,
         "shared_curve_counts": [len(d) for d in dep],
         "s_move_supports": sum(
-            1 for br in branches if br.taxonomy == MERGED_PIECE and br.sig == SurfaceSig(1, 1)
-        ) + sum(1 for bl in blocks if bl.base == SurfaceSig(1, 1)),
+            1 for br in branches if br.taxonomy == MERGED_PIECE and br.sig == ONE_HOLED_TORUS
+        ) + sum(1 for bl in blocks if bl.base == ONE_HOLED_TORUS),
     }
     return TribranchedComplex(
         branches=tuple(branches),

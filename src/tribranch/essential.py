@@ -70,6 +70,7 @@ PI1_INJECTIVE_WHITELIST = frozenset(
 )
 
 MAX_BLOCK_RANK = 3
+DISC = SurfaceSig(0, 1)
 
 CONDITION_NAMES = {
     1: "no branch is a disc",
@@ -138,7 +139,7 @@ def check_essential(tc: TribranchedComplex, cert: RankCertificate) -> Essentiali
     notes = []
 
     # (1) No branch is a disc.
-    discs = [b.id for b in tc.branches if b.sig == SurfaceSig(0, 1)]
+    discs = [b.id for b in tc.branches if b.sig == DISC]
     if discs:
         conditions.append(
             ConditionResult(1, FAIL, f"disc branches: {', '.join(sorted(discs))}")

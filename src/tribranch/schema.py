@@ -39,7 +39,9 @@ writes those bytes in one pass, because on CPython 3.10-3.12 any
 ``indent`` sends ``json.dumps`` to its pure-Python encoder, two to three
 times slower on complex documents.  On 3.13, whose ``json`` indents in C,
 the writer is about two times slower than ``json.dumps``; one writer
-serves every version.
+serves every version.  :func:`complex_json` writes the canonical bytes of a
+complex document straight from the :class:`TribranchedComplex`, without
+building the document; it is the one place the complex's format lives.
 """
 
 from __future__ import annotations
@@ -124,16 +126,25 @@ def _write(value, out: list, indent: str) -> None:
         out.append(_json(value, indent))
 
 
-def canonical_json(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+def _text(value, indent: str) -> str:
+    """The canonical text of ``value`` on a line that ``indent`` pads."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return repr(value)
     out = []
     try:
-        _write(doc, out, "\n")
+        _write(value, out, indent)
     except RecursionError:
-        # A circular or very deep document: json raises its own error.
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out.append("\n")
+        # A circular or very deep value: json raises its own error.
+        return _json(value, indent)
     return "".join(out)
+
+
+def canonical_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    return _text(doc, "\n") + "\n"
 
 
 def sha256_hex(data: bytes) -> str:
@@ -339,7 +350,83 @@ def spec_to_json(spec: OpenBookSpec) -> dict:
     return doc
 
 
+# The padding of each depth of a complex document: the top-level keys, the
+# records, their keys, and the items of a record's lists.
+_PAD1, _PAD2, _PAD3, _PAD4 = "\n  ", "\n    ", "\n      ", "\n        "
+
+
+def _items(texts: list, indent: str) -> str:
+    """A list of the item texts ``texts`` on a line that ``indent`` pads."""
+    inner = indent + "  "
+    return f"[{inner}{(',' + inner).join(texts)}{indent}]" if texts else "[]"
+
+
+def _strings(items, indent: str) -> str:
+    """The canonical text of ``list(items)``, written here when every item is
+    a ``str``, as in the constructions' slots and germs."""
+    try:
+        return _items(list(map(_escape, items)), indent)
+    except TypeError:
+        return _text(list(items), indent)
+
+
+def _sig(sig: SurfaceSig, indent: str) -> str:
+    return (f'{{{indent}  "boundary": {_text(sig.n_boundary, indent)},'
+            f'{indent}  "genus": {_text(sig.genus, indent)}{indent}}}')
+
+
+def _branch(b) -> str:
+    return (f'{{{_PAD3}"id": {_text(b.id, _PAD3)},'
+            f'{_PAD3}"level": {_text(b.level, _PAD3)},'
+            f'{_PAD3}"refs": {_text(b.refs, _PAD3)},'
+            f'{_PAD3}"sig": {_sig(b.sig, _PAD3)},'
+            f'{_PAD3}"slots": {_strings(b.slots, _PAD3)},'
+            f'{_PAD3}"taxonomy": {_text(b.taxonomy, _PAD3)}{_PAD2}}}')
+
+
+def _circle(c) -> str:
+    try:
+        germs = [f"[{_PAD4}  {_escape(branch)},{_PAD4}  {_escape(slot)}{_PAD4}]"
+                 for branch, slot in c.germs]
+    except (TypeError, ValueError):
+        germs = [_strings(g, _PAD4) for g in c.germs]
+    return (f'{{{_PAD3}"germs": {_items(germs, _PAD3)},'
+            f'{_PAD3}"id": {_text(c.id, _PAD3)}{_PAD2}}}')
+
+
+def _block(b) -> str:
+    base = "null" if b.base is None else _sig(b.base, _PAD3)
+    return (f'{{{_PAD3}"base": {base},'
+            f'{_PAD3}"boundary_label": {_text(b.boundary_label, _PAD3)},'
+            f'{_PAD3}"id": {_text(b.id, _PAD3)},'
+            f'{_PAD3}"kind": {_text(b.kind, _PAD3)},'
+            f'{_PAD3}"pi1_rank_bound": {_text(b.pi1_rank_bound, _PAD3)}{_PAD2}}}')
+
+
+def complex_json(tc, inventory: dict) -> str:
+    """The canonical bytes of the complex document of ``tc``.
+
+    The document holds ``format`` and the complex's ``branches``,
+    ``circles`` and ``blocks`` in order, its ``sides``, its ``meta`` (with
+    each :class:`SurfaceSig` as ``{"genus", "boundary"}``) and
+    ``inventory``, the caller's ``tc.inventory()``.  Each branch, circle and
+    block is one template whose padding the document's shape fixes.
+    Strings and ints go in directly, every other value through
+    :func:`_write`.
+    """
+    meta = {key: {"genus": value.genus, "boundary": value.n_boundary}
+            if isinstance(value, SurfaceSig) else value
+            for key, value in tc.meta.items()}
+    sides = {key: list(value) for key, value in tc.sides.items()}
+    return (f'{{{_PAD1}"blocks": {_items([_block(b) for b in tc.blocks], _PAD1)},'
+            f'{_PAD1}"branches": {_items([_branch(b) for b in tc.branches], _PAD1)},'
+            f'{_PAD1}"circles": {_items([_circle(c) for c in tc.circles], _PAD1)},'
+            f'{_PAD1}"format": {_escape(COMPLEX_FORMAT)},'
+            f'{_PAD1}"inventory": {_text(inventory, _PAD1)},'
+            f'{_PAD1}"meta": {_text(meta, _PAD1)},'
+            f'{_PAD1}"sides": {_text(sides, _PAD1)}\n}}\n')
+
+
 def complex_document(tc) -> dict:
-    doc = {"format": COMPLEX_FORMAT}
-    doc.update(tc.to_json())
-    return doc
+    """The complex document of ``tc``, read back from :func:`complex_json`."""
+    return json.loads(complex_json(tc, tc.inventory()))

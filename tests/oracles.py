@@ -12,6 +12,10 @@ eliminated; ``openbook.h1_open_book`` must give its cokernel.
 ``search_path_all_moves`` is the breadth-first search expanding every move,
 S-moves and the re-pairing that keeps the original grouping included;
 ``paths.search_path`` must return the same moves and closure.
+
+``complex_document`` builds the complex document as a dict, one record at a
+time; ``schema.complex_json`` must write exactly the bytes of
+``json.dumps(complex_document(tc), sort_keys=True, indent=2) + "\n"``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from tribranch.paths import (
     enumerate_pairings,
     move_kind,
 )
-from tribranch.surfaces import PantsDecomposition
+from tribranch.schema import COMPLEX_FORMAT
+from tribranch.surfaces import PantsDecomposition, SurfaceSig
 from tribranch.surfaces import canonical_key as package_canonical_key
 from tribranch.surfaces import find_isomorphism as package_find_isomorphism
 
@@ -156,3 +161,46 @@ def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,
                     return finish(nxt, moves + [mv])
                 queue.append((nxt, moves + [mv]))
     return None
+
+
+def _sig_json(sig) -> dict:
+    return {"genus": sig.genus, "boundary": sig.n_boundary}
+
+
+def branch_json(b) -> dict:
+    return {
+        "id": b.id,
+        "sig": _sig_json(b.sig),
+        "taxonomy": b.taxonomy,
+        "slots": list(b.slots),
+        "level": b.level,
+        "refs": {k: b.refs[k] for k in sorted(b.refs)},
+    }
+
+
+def circle_json(c) -> dict:
+    return {"id": c.id, "germs": [list(g) for g in c.germs]}
+
+
+def block_json(b) -> dict:
+    return {
+        "id": b.id,
+        "kind": b.kind,
+        "base": None if b.base is None else _sig_json(b.base),
+        "boundary_label": b.boundary_label,
+        "pi1_rank_bound": b.pi1_rank_bound,
+    }
+
+
+def complex_document(tc) -> dict:
+    """The complex document of ``tc``, built as a dict."""
+    return {
+        "format": COMPLEX_FORMAT,
+        "branches": [branch_json(b) for b in tc.branches],
+        "circles": [circle_json(c) for c in tc.circles],
+        "blocks": [block_json(b) for b in tc.blocks],
+        "sides": {k: list(tc.sides[k]) for k in sorted(tc.sides)},
+        "meta": {k: _sig_json(v) if isinstance(v, SurfaceSig) else v
+                 for k, v in sorted(tc.meta.items())},
+        "inventory": tc.inventory(),
+    }

@@ -415,9 +415,23 @@ def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_che
         "validate_pants": n_moves + 1,
         "vertex_map_from_curve_bijection": 1,
         "check_local_models": local_model_checks,
-        # Once, for the complex document; the report reuses it.
+        # Once, for the report and the complex's bytes.
         "inventory": 1,
     }
+
+
+@pytest.mark.parametrize("verb", ["certify", "construct"])
+def test_complex_written_without_a_document(verb, monkeypatch, tmp_path, capsys):
+    # The complex's bytes come straight from the complex; only the report
+    # goes through canonical_json.
+    argv = [verb, FIXTURES / "f05_identity.json", "--quiet"]
+    if verb == "construct":
+        argv += ["--mode", "outer", "--out", tmp_path / "complex.json"]
+    calls = _count_calls(monkeypatch, "schema.canonical_json", "schema.complex_document")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "complex_sha256" in report_of(out)
+    assert calls == {"canonical_json": 1, "complex_document": 0}
 
 
 def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):

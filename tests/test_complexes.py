@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tribranch import (
@@ -29,6 +31,7 @@ from tribranch import (
 )
 
 from genutils import make_rng, random_monodromy, random_outer_spec, random_page
+from tribranch.schema import complex_json
 
 
 def degenerate_spec(g, b, monodromy=None):
@@ -371,7 +374,7 @@ def test_local_models_side_count_must_be_two():
 
 def test_complex_serialization_shape():
     tc = construct_outer(validate_spec(degenerate_spec(0, 4)))
-    doc = tc.to_json()
+    doc = json.loads(complex_json(tc, tc.inventory()))
     assert doc["inventory"]["branches"] == 8
     assert {b["taxonomy"] for b in doc["branches"]} == {
         HORIZONTAL_ANNULUS, PUSHOFF_ANNULUS, PANTS_PIECE, TORUS_ANNULUS,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from tribranch import (
     MonodromyH1,
     OpenBookSpec,
@@ -18,7 +19,7 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
-from tribranch.schema import canonical_json, parse_spec, spec_to_json
+from tribranch.schema import canonical_json, complex_json, parse_spec, spec_to_json
 
 
 def degenerate_spec(g, b, name=""):
@@ -142,7 +143,11 @@ def test_curve_permuting_closure_construction():
 
 
 def _documents_written(monkeypatch, *argv):
-    """The documents ``cli.main`` serializes on one run, in order."""
+    """The documents ``cli.main`` serializes on one run, in order.
+
+    The complex is written from the complex itself, so its document is the
+    oracle's, and the writer's bytes must be the oracle document's.
+    """
     from tribranch import cli
 
     docs = []
@@ -151,7 +156,15 @@ def _documents_written(monkeypatch, *argv):
         docs.append(doc)
         return canonical_json(doc)
 
+    def capture_complex(tc, inventory):
+        text = complex_json(tc, inventory)
+        doc = oracles.complex_document(tc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        docs.append(doc)
+        return text
+
     monkeypatch.setattr(cli, "canonical_json", capture)
+    monkeypatch.setattr(cli, "complex_json", capture_complex)
     assert cli.main([str(a) for a in argv]) == 0
     return docs
 
