@@ -10,19 +10,24 @@ from tribranch import (
     PantsDecomposition,
     SurfaceSig,
     canonical_key,
-    cut_components,
-    euler_char,
-    isomorphic,
+    cut_structure,
+    find_isomorphism,
     standard_decomposition,
     validate_pants,
 )
+
+
+def pieces(pd, removed):
+    """The pieces of ``pd`` cut along every curve except those in ``removed``."""
+    return [str(piece.sig) for piece in cut_structure(pd, set(pd.edges) - removed)]
+
 
 print("=" * 70)
 print("Surface signatures")
 print("=" * 70)
 for g, b in [(0, 3), (1, 0), (2, 1), (0, 5)]:
     sig = SurfaceSig(g, b)
-    print(f"  {sig}: euler characteristic {euler_char(sig)}")
+    print(f"  {sig}: euler characteristic {sig.euler_char}")
 
 print()
 print("=" * 70)
@@ -41,9 +46,9 @@ print()
 print("=" * 70)
 print("Cutting: removing curves from the cut system glues pants together")
 print("=" * 70)
-print("  remove nothing   ->", [str(s) for s in cut_components(sig, pd, set())])
-print("  remove {c1}      ->", [str(s) for s in cut_components(sig, pd, {'c1'})])
-print("  remove all       ->", [str(s) for s in cut_components(sig, pd, set(pd.edges))])
+print("  remove nothing   ->", pieces(pd, set()))
+print("  remove {c1}      ->", pieces(pd, {"c1"}))
+print("  remove all       ->", pieces(pd, set(pd.edges)))
 
 print()
 print("The one-holed torus has a self-loop decomposition; gluing the pants")
@@ -51,7 +56,7 @@ print("to itself along the loop recovers the whole surface:")
 sig11 = SurfaceSig(1, 1)
 pd11 = standard_decomposition(sig11)
 print("  decomposition:", pd11.edges)
-print("  remove the loop ->", [str(s) for s in cut_components(sig11, pd11, {'c1'})])
+print("  remove the loop ->", pieces(pd11, {"c1"}))
 
 print()
 print("=" * 70)
@@ -62,11 +67,11 @@ relabeled = PantsDecomposition.build(
     {"x": (("Q2", 3), ("Q0", 2)), "y": (("Q0", 3), ("Q1", 1))},
     {1: ("Q2", 1), 2: ("Q2", 2), 3: ("Q0", 1), 4: ("Q1", 2), 5: ("Q1", 3)},
 )
-print("  relabeled copy isomorphic:", isomorphic(pd, relabeled))
+print("  relabeled copy isomorphic:", find_isomorphism(pd, relabeled) is not None)
 regrouped = PantsDecomposition.build(
     ["P0", "P1", "P2"],
     {"c1": (("P0", 1), ("P1", 1)), "c2": (("P1", 2), ("P2", 1))},
     {1: ("P0", 2), 3: ("P0", 3), 2: ("P1", 3), 4: ("P2", 2), 5: ("P2", 3)},
 )
-print("  different leg grouping isomorphic:", isomorphic(pd, regrouped))
+print("  different leg grouping isomorphic:", find_isomorphism(pd, regrouped) is not None)
 print("  canonical keys equal:", canonical_key(pd) == canonical_key(regrouped))

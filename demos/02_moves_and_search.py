@@ -9,7 +9,6 @@ system around the monodromy.
 
 from tribranch import (
     A_MOVE,
-    MonodromyH1,
     MoveError,
     PantsDecomposition,
     PantsMove,
@@ -59,7 +58,7 @@ print("Validating a closed-up path")
 print("=" * 70)
 trivial = PantsPath(start=pd, moves=[], closure={c: c for c in pd.edges})
 print("  trivial path, identity closure:",
-      validate_path(trivial, MonodromyH1.identity(sig)).summary())
+      validate_path(trivial).summary())
 broken = PantsPath(start=pd, moves=[PantsMove("c1", "x", A_MOVE),
                                     PantsMove("c1", "y", A_MOVE)], closure={})
 report = validate_path(broken)

@@ -87,11 +87,8 @@ from .surfaces import (
     PantsDecomposition,
     SurfaceSig,
     canonical_key,
-    cut_components,
     cut_structure,
-    euler_char,
     find_isomorphism,
-    isomorphic,
     standard_decomposition,
     validate_pants,
 )

@@ -41,6 +41,7 @@ convention fired.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, TribranchError
@@ -140,25 +141,16 @@ class TribranchedComplex:
     sides: dict
     meta: dict = field(default_factory=dict)
 
-    def taxonomy_counts(self) -> dict:
-        counts = {}
-        for b in self.branches:
-            counts[b.taxonomy] = counts.get(b.taxonomy, 0) + 1
-        return counts
-
-    def block_counts(self) -> dict:
-        counts = {}
-        for b in self.blocks:
-            counts[b.kind] = counts.get(b.kind, 0) + 1
-        return counts
-
     def inventory(self) -> dict:
+        """The sizes, the branches per taxonomy and the blocks per kind."""
+        taxonomy = Counter(b.taxonomy for b in self.branches)
+        kinds = Counter(b.kind for b in self.blocks)
         return {
             "branches": len(self.branches),
             "circles": len(self.circles),
             "blocks": len(self.blocks),
-            "branch_taxonomy": dict(sorted(self.taxonomy_counts().items())),
-            "block_kinds": dict(sorted(self.block_counts().items())),
+            "branch_taxonomy": dict(sorted(taxonomy.items())),
+            "block_kinds": dict(sorted(kinds.items())),
         }
 
     def is_connected(self) -> bool:

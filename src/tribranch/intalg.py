@@ -90,9 +90,6 @@ class IntMatrix:
         rank, sign, minor = _fraction_free(self.entries)
         return sign * minor if rank == self.rows else 0
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
     def to_json(self) -> list:
         return [list(row) for row in self.entries]
 

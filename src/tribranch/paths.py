@@ -102,8 +102,8 @@ class PantsPath:
 def move_kind(pd: PantsDecomposition, removed: CurveId) -> str:
     """The move kind forced by the support of ``removed``.
 
-    Equivalent to classifying the merged component of ``cut_components`` with
-    the curve erased: a curve between distinct pants merges them into a
+    Equivalent to classifying the piece of ``cut_structure`` that glues the
+    curve back: a curve between distinct pants merges them into a
     four-holed sphere (A), a self-loop closes a one-holed torus (S).
     """
     if removed not in pd.edges:
@@ -278,26 +278,31 @@ def closure_vertex_map(path: PantsPath, decomps: list):
     return vertex_map_from_curve_bijection(decomps[-1], decomps[0], dict(path.closure))
 
 
-def validate_path(path: PantsPath, monodromy=None) -> ValidationReport:
+def validate_path(path: PantsPath) -> ValidationReport:
     """The report of :func:`check_path`: every path invariant, failures by step index."""
-    return check_path(path, monodromy)[0]
+    return check_path(path)[0]
 
 
-def check_path(path: PantsPath, monodromy=None):
+def check_path(path: PantsPath):
     """Check every path invariant; return ``(report, decomps, closure_map)``.
 
-    Checks, in order: the start decomposition is valid; every move applies
-    and every intermediate decomposition is valid; the closure is a curve
-    bijection from C_n onto C_0 extending to a decorated-graph isomorphism
-    that respects leg labels.  When a monodromy action matrix is supplied its
-    size is checked against the surface of the path.  Failures carry their
-    step index.  ``decomps`` are the replayed C_0, ..., C_n, cut short at a
-    failing move; ``closure_map`` is the closure's vertex map C_n -> C_0, or
-    None when the closure was not checked or does not extend.
+    Checks, in order: the start decomposition spans a surface and is valid;
+    every move applies and every intermediate decomposition is valid; the
+    closure is a curve bijection from C_n onto C_0 extending to a
+    decorated-graph isomorphism that respects leg labels.  Failures carry
+    their step index.  ``decomps`` are the replayed C_0, ..., C_n, cut short
+    at a failing move; ``closure_map`` is the closure's vertex map
+    C_n -> C_0, or None when the closure was not checked or does not extend.
     """
     report = ValidationReport()
     decomps = [path.start]
-    sig = path.start.surface_sig()
+    try:
+        sig = path.start.surface_sig()
+    except TribranchError as err:
+        # Fewer than V - 1 curves: the pants graph cannot even be connected.
+        report.add("start-invalid", f"start decomposition spans no surface: {err}; "
+                   "replay skipped", "step 0")
+        return report, decomps, None
     report.extend(validate_pants(sig, path.start))
     if not report.ok:
         report.add("start-invalid", "start decomposition invalid; replay skipped", "step 0")
@@ -336,15 +341,6 @@ def check_path(path: PantsPath, monodromy=None):
                 "closure-iso",
                 "closure does not extend to a decorated-graph isomorphism",
                 "closure",
-            )
-    if monodromy is not None:
-        k = 2 * sig.genus + sig.n_boundary - 1
-        if monodromy.matrix.rows != k or monodromy.matrix.cols != k:
-            report.add(
-                "monodromy-dimension",
-                f"monodromy matrix is {monodromy.matrix.rows}x{monodromy.matrix.cols}, "
-                f"expected {k}x{k} for {sig}",
-                "monodromy",
             )
     return report, decomps, closure_map
 

@@ -61,11 +61,6 @@ class SurfaceSig:
         return f"F({self.genus},{self.n_boundary})"
 
 
-def euler_char(sig: SurfaceSig) -> int:
-    """Euler characteristic 2 - 2*genus - n_boundary."""
-    return sig.euler_char
-
-
 def components(nodes, pairs) -> list:
     """The connected components of ``nodes`` joined by the ``pairs``.
 
@@ -281,22 +276,6 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
     ]
 
 
-def cut_components(sig: SurfaceSig, pd: PantsDecomposition, removed) -> list:
-    """Homeomorphism types of the surface cut along all curves except ``removed``.
-
-    The curves in ``removed`` are erased from the cut system, so the pants on
-    their two sides are glued back together; all other curves remain as cuts.
-    With ``removed`` empty this returns one thrice punctured sphere per pants;
-    removing everything returns a single component homeomorphic to ``sig``.
-    """
-    removed = set(removed)
-    unknown = removed - set(pd.edges)
-    if unknown:
-        raise TribranchError(f"unknown curve ids {sorted(unknown)}")
-    cut = set(pd.edges) - removed
-    return [piece.sig for piece in cut_structure(pd, cut)]
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism of decorated graphs.
 #
@@ -467,10 +446,6 @@ def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
         for ca, cb in zip(need[key], have[key]):
             emap[ca] = cb
     return vmap, emap
-
-
-def isomorphic(a: PantsDecomposition, b: PantsDecomposition) -> bool:
-    return find_isomorphism(a, b) is not None
 
 
 def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition,

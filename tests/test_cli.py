@@ -488,3 +488,58 @@ def test_main_builds_the_parsers_once(monkeypatch, capsys):
         assert code == 0
     # The top-level parser and one per verb.
     assert len(built) == 5
+
+
+OUTER_VERBS = [["validate"], ["certify"], ["construct", "--mode", "outer"]]
+
+
+def _verb_argv(verb, spec, tmp_path):
+    argv = [verb[0], spec, "--quiet", *verb[1:]]
+    return argv + ["--out", tmp_path / "complex.json"] if verb[0] == "construct" else argv
+
+
+def test_start_spanning_no_surface_is_reported(tmp_path, capsys):
+    # Three pants and no curve carry legs 1..5 of F(0,5): cycle rank -2.
+    def no_curves(doc):
+        doc["monodromy"]["pants_path"]["start"]["edges"] = {}
+        doc["monodromy"]["pants_path"]["closure"] = {}
+
+    spec = _mutated_f05(no_curves, tmp_path)
+    for verb in OUTER_VERBS:
+        code, out, _ = run(capsys, *_verb_argv(verb, spec, tmp_path))
+        assert code == 1, verb
+        doc = report_of(out)
+        assert doc["exit_code"] == 1
+        assert [e["code"] for e in doc["validation"]] == ["start-invalid"]
+        assert doc["validation"][0]["where"] == "pants_path step 0"
+
+
+def _drop_one_curve(start, rng):
+    if start["edges"]:
+        del start["edges"][rng.choice(sorted(start["edges"]))]
+
+
+def _drop_all_curves(start, rng):
+    start["edges"] = {}
+
+
+def _add_stray_pants(start, rng):
+    start["pants"].append("Pstray")
+
+
+@pytest.mark.parametrize("mutate", [_drop_one_curve, _drop_all_curves, _add_stray_pants])
+def test_mutated_path_start_gets_a_report(mutate, tmp_path, capsys):
+    # Whatever is wrong with the start of the path, each verb either prints
+    # a JSON report or fails on the schema; it never exits 1 silently.
+    rng = random.Random(20260810)
+    for i in range(9):
+        # Planar pages too: there one curve fewer leaves no surface at all.
+        doc = spec_to_json(random_outer_spec(rng, g_max=i % 3))
+        mutate(doc["monodromy"]["pants_path"]["start"], rng)
+        spec = tmp_path / f"mutated{i}.json"
+        spec.write_text(json.dumps(doc))
+        for verb in OUTER_VERBS:
+            code, out, err = run(capsys, *_verb_argv(verb, spec, tmp_path))
+            assert code in (0, 1, 2), (i, verb, err)
+            if code != 2:
+                assert report_of(out)["exit_code"] == code, (i, verb, err)

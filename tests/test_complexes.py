@@ -124,7 +124,7 @@ def test_outer_four_holed_sphere_hand_enumeration():
     Blocks: a product over each pants and four solid tori.
     """
     tc = construct_outer(validate_spec(degenerate_spec(0, 4)))
-    assert tc.taxonomy_counts() == {
+    assert tc.inventory()["branch_taxonomy"] == {
         HORIZONTAL_ANNULUS: 1,
         PUSHOFF_ANNULUS: 1,
         PANTS_PIECE: 2,
@@ -133,7 +133,7 @@ def test_outer_four_holed_sphere_hand_enumeration():
     assert len(tc.branches) == 8
     assert len(tc.circles) == 6
     assert len(tc.blocks) == 6
-    assert tc.block_counts() == {PRODUCT_BLOCK: 2, SOLID_TORUS: 4}
+    assert tc.inventory()["block_kinds"] == {PRODUCT_BLOCK: 2, SOLID_TORUS: 4}
     germ_slot_identity(tc)
     audit = euler_audit(tc)
     assert audit.ok and audit.chi_from_branches == -2
@@ -141,14 +141,14 @@ def test_outer_four_holed_sphere_hand_enumeration():
 
 def test_outer_f05_fixture():
     tc = construct_outer(validate_spec(degenerate_spec(0, 5)))
-    assert tc.taxonomy_counts() == {
+    assert tc.inventory()["branch_taxonomy"] == {
         HORIZONTAL_ANNULUS: 2,
         PUSHOFF_ANNULUS: 2,
         PANTS_PIECE: 3,
         TORUS_ANNULUS: 5,
     }
     assert len(tc.circles) == 2 * 2 + 5
-    assert tc.block_counts() == {PRODUCT_BLOCK: 3, SOLID_TORUS: 5}
+    assert tc.inventory()["block_kinds"] == {PRODUCT_BLOCK: 3, SOLID_TORUS: 5}
     assert all(b.pi1_rank_bound <= 3 for b in tc.blocks)
     assert tc.is_connected()
     germ_slot_identity(tc)
@@ -225,7 +225,7 @@ def test_outer_nondegenerate_mirror_path():
     # One shared-curve set per level, each of size E - 1 = 1.
     assert tc.meta["shared_curve_counts"] == [1, 1]
     assert len(tc.circles) == 2 * 2 + 2 * 5
-    counts = tc.taxonomy_counts()
+    counts = tc.inventory()["branch_taxonomy"]
     assert counts[HORIZONTAL_ANNULUS] == 2
     assert counts[MERGED_PIECE] == 2  # the move supports stay uncut
     germ_slot_identity(tc)
@@ -252,7 +252,7 @@ def test_outer_randomized_suite():
         levels = tc.meta["levels"]
         b = spec.page.n_boundary
         assert len(tc.circles) == 2 * n_shared + levels * b
-        counts = tc.taxonomy_counts()
+        counts = tc.inventory()["branch_taxonomy"]
         assert counts.get(HORIZONTAL_ANNULUS, 0) == n_shared
         assert counts.get(TORUS_ANNULUS, 0) == levels * b
         assert tc.is_connected()

@@ -44,8 +44,8 @@ def laplace(rows) -> int:
 def check_snf_contract(a: IntMatrix):
     res = smith_normal_form(a)
     assert res.u.mul(a).mul(res.v) == res.s
-    assert res.u.is_unimodular()
-    assert res.v.is_unimodular()
+    assert abs(res.u.det()) == 1
+    assert abs(res.v.det()) == 1
     diag = list(res.invariant_factors)
     # S is diagonal with the reported diagonal.
     for i in range(res.s.rows):

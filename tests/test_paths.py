@@ -7,6 +7,7 @@ from tribranch import (
     S_MOVE,
     MonodromyH1,
     MoveError,
+    OpenBookSpec,
     PantsDecomposition,
     PantsMove,
     PantsPath,
@@ -17,13 +18,13 @@ from tribranch import (
     common_curves,
     enumerate_pairings,
     find_isomorphism,
-    isomorphic,
     move_kind,
     replay,
     search_path,
     standard_decomposition,
     validate_pants,
     validate_path,
+    validate_spec,
 )
 
 import oracles
@@ -51,7 +52,7 @@ def test_a_move_on_four_holed_sphere():
     assert sorted(out.edges) == ["c9"]
     # Only one trivalent shape exists for this surface; the default pairing
     # keeps the leg grouping, so the result is even label-isomorphic.
-    assert isomorphic(out, pd)
+    assert find_isomorphism(out, pd) is not None
 
 
 def test_s_move_replaces_self_loop():
@@ -148,7 +149,7 @@ def test_repairing_can_change_shape():
     out = apply_move(pd, PantsMove("c2", "z", A_MOVE, pairing))
     assert validate_pants(sig, out).ok
     assert not out.is_self_loop("c1")
-    assert not isomorphic(pd, out)
+    assert find_isomorphism(pd, out) is None
 
 
 def test_apply_move_preserves_surface_on_random_inputs():
@@ -173,7 +174,7 @@ def test_move_then_inverse_is_isomorphic():
         out = apply_move(pd, mv)
         inv = inverse_move(pd, mv, out, "f2")
         back = apply_move(out, inv)
-        assert isomorphic(back, pd)
+        assert find_isomorphism(back, pd) is not None
 
 
 @pytest.mark.parametrize("sig, seed", [((1, 3), 88), ((2, 2), 50), ((2, 1), 145), ((1, 4), 145)])
@@ -222,8 +223,7 @@ def test_common_curves_rejects_unrelated_systems():
 def test_trivial_path_with_identity_closure():
     pd = standard_decomposition(SurfaceSig(0, 5))
     path = PantsPath(start=pd, moves=[], closure={c: c for c in pd.edges})
-    report = validate_path(path, MonodromyH1.identity(SurfaceSig(0, 5)))
-    assert report.ok
+    assert validate_path(path).ok
 
 
 def test_path_with_missing_curve_reports_step():
@@ -261,13 +261,26 @@ def test_closure_domain_and_range_checked():
     assert "closure-range" in report.codes()
 
 
-def test_monodromy_dimension_mismatch_reported():
+def test_start_spanning_no_surface_reported():
+    # Three pants and no curve: cycle rank -2, so no surface has this graph.
+    pd = standard_decomposition(SurfaceSig(0, 5))
+    bare = PantsDecomposition.build(pd.pants, {}, pd.legs)
+    report = validate_path(PantsPath(start=bare, moves=[], closure={}))
+    assert report.codes() == ["start-invalid"]
+    assert report.entries[0].where == "step 0"
+    assert "spans no surface" in report.entries[0].message
+
+
+def test_wrong_size_matrix_beside_a_path_reported_once():
+    # The matrix size is checked against the page by the spec check alone;
+    # the path on that page adds no second issue for it.
     sig = SurfaceSig(0, 5)
     pd = standard_decomposition(sig)
     path = PantsPath(start=pd, moves=[], closure={c: c for c in pd.edges})
-    wrong = MonodromyH1.identity(SurfaceSig(1, 1))
-    report = validate_path(path, wrong)
-    assert "monodromy-dimension" in report.codes()
+    spec = OpenBookSpec(page=sig, monodromy=MonodromyH1.identity(SurfaceSig(1, 1)),
+                        pants_path=path)
+    # Exactly one matrix-dimension issue, and no monodromy-dimension.
+    assert validate_spec(spec).report.codes() == ["matrix-dimension"]
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +305,17 @@ def test_search_trivial_case():
     pd = standard_decomposition(SurfaceSig(0, 5))
     path = search_path(pd, pd, budget=10)
     assert path is not None and path.moves == []
-    assert validate_path(path, MonodromyH1.identity(SurfaceSig(0, 5))).ok
+    assert validate_path(path).ok
 
 
 def test_search_between_leg_groupings():
     a, b = two_leg_groupings_f05()
-    assert not isomorphic(a, b)
+    assert find_isomorphism(a, b) is None
     path = search_path(a, b, budget=1000)
     assert path is not None and len(path.moves) >= 1
     final = replay(path)[-1]
-    assert isomorphic(final, b)
     iso = find_isomorphism(final, b)
+    assert iso is not None
     assert dict(iso[1]) == path.closure
 
 
@@ -376,7 +389,7 @@ def test_search_fresh_ids_skip_start_curve_ids():
     path = search_path(start, rename(far), budget=1000)
     assert path is not None and len(path.moves) == 2
     assert all(mv.added not in start.edges for mv in path.moves)
-    assert isomorphic(replay(path)[-1], far)
+    assert find_isomorphism(replay(path)[-1], far) is not None
     # Only the names differ from the search on the c-named start.
     plain = search_path(a, far, budget=1000)
     assert [(mv.kind, mv.pairing) for mv in path.moves] == [
@@ -416,7 +429,7 @@ def test_search_result_validates_on_monodromy_image_targets():
     )
     path = search_path(a, b, budget=100)
     assert path is not None
-    assert validate_path(path, MonodromyH1.identity(sig)).ok
+    assert validate_path(path).ok
 
 
 # ---------------------------------------------------------------------------

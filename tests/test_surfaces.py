@@ -5,10 +5,7 @@ from tribranch import (
     SurfaceSig,
     TribranchError,
     canonical_key,
-    cut_components,
-    euler_char,
     find_isomorphism,
-    isomorphic,
     standard_decomposition,
     validate_pants,
 )
@@ -19,9 +16,9 @@ from genutils import make_rng, random_decomposition, random_page
 
 
 def test_euler_char():
-    assert euler_char(SurfaceSig(0, 3)) == -1
-    assert euler_char(SurfaceSig(1, 0)) == 0
-    assert euler_char(SurfaceSig(2, 1)) == -3
+    assert SurfaceSig(0, 3).euler_char == -1
+    assert SurfaceSig(1, 0).euler_char == 0
+    assert SurfaceSig(2, 1).euler_char == -3
 
 
 def test_negative_signature_rejected():
@@ -110,23 +107,28 @@ def test_connected_graphs():
     assert "disconnected" not in validate_pants(SurfaceSig(0, 3), empty).codes()
 
 
+def cut_sigs(pd, cut):
+    """The homeomorphism types of the pieces of ``pd`` cut along ``cut``."""
+    return [piece.sig for piece in cut_structure(pd, cut)]
+
+
 def test_cut_components_nothing_removed_gives_pants():
     sig = SurfaceSig(0, 5)
     pd = standard_decomposition(sig)
-    assert cut_components(sig, pd, set()) == [SurfaceSig(0, 3)] * 3
+    assert cut_sigs(pd, set(pd.edges)) == [SurfaceSig(0, 3)] * 3
 
 
 def test_cut_components_merging_two_pants():
     sig = SurfaceSig(0, 5)
     pd = standard_decomposition(sig)
-    pieces = cut_components(sig, pd, {"c1"})
+    pieces = cut_sigs(pd, set(pd.edges) - {"c1"})
     assert sorted(pieces) == sorted([SurfaceSig(0, 4), SurfaceSig(0, 3)])
 
 
 def test_cut_components_self_loop_gives_one_holed_torus():
     sig = SurfaceSig(1, 1)
     pd = standard_decomposition(sig)
-    [piece] = cut_components(sig, pd, {"c1"})
+    [piece] = cut_sigs(pd, set(pd.edges) - {"c1"})
     assert piece == SurfaceSig(1, 1)
     assert piece.euler_char == -1 and piece.n_boundary == 1
 
@@ -134,8 +136,10 @@ def test_cut_components_self_loop_gives_one_holed_torus():
 def test_cut_components_unknown_curve():
     sig = SurfaceSig(0, 4)
     pd = standard_decomposition(sig)
-    with pytest.raises(TribranchError):
-        cut_components(sig, pd, {"nope"})
+    with pytest.raises(TribranchError, match="unknown curve ids \\['nope'\\]"):
+        cut_structure(pd, {"nope"})
+    with pytest.raises(TribranchError, match="unknown curve ids \\['nope'\\]"):
+        cut_structure(pd, set(pd.edges) | {"nope"})
 
 
 @pytest.mark.parametrize("stray", ["leg", "curve_end"])
@@ -148,10 +152,9 @@ def test_cut_on_unknown_pants_is_a_domain_error(stray):
     else:
         edges["c2"] = (("P", 2), ("Z", 2))
     pd = PantsDecomposition(pants=frozenset({"P", "Q"}), edges=edges, legs=legs)
-    for call in (lambda: cut_structure(pd, {"c1"}),
-                 lambda: cut_components(SurfaceSig(1, 2), pd, {"c2"})):
+    for cut in ({"c1"}, {"c1", "c2"}):
         with pytest.raises(TribranchError, match="unknown pants \\['Z'\\]"):
-            call()
+            cut_structure(pd, cut)
 
 
 def test_cut_components_all_removed_recovers_surface():
@@ -159,9 +162,9 @@ def test_cut_components_all_removed_recovers_surface():
     for _ in range(15):
         sig = random_page(rng)
         pd = random_decomposition(sig, rng)
-        assert cut_components(sig, pd, set(pd.edges)) == [sig]
+        assert cut_sigs(pd, set()) == [sig]
         # and removing nothing always gives one pants per vertex
-        assert cut_components(sig, pd, set()) == [SurfaceSig(0, 3)] * pd.n_pants
+        assert cut_sigs(pd, set(pd.edges)) == [SurfaceSig(0, 3)] * pd.n_pants
 
 
 def test_cut_components_chi_additivity():
@@ -171,7 +174,7 @@ def test_cut_components_chi_additivity():
         pd = random_decomposition(sig, rng)
         curves = sorted(pd.edges)
         removed = {c for c in curves if rng.random() < 0.5}
-        pieces = cut_components(sig, pd, removed)
+        pieces = cut_sigs(pd, set(curves) - removed)
         assert sum(p.euler_char for p in pieces) == sig.euler_char
 
 
@@ -198,7 +201,7 @@ def test_canonical_key_is_isomorphism_invariant():
     )
     assert validate_pants(sig, relabeled).ok
     assert canonical_key(pd) == canonical_key(relabeled)
-    assert isomorphic(pd, relabeled)
+    assert find_isomorphism(pd, relabeled) is not None
 
 
 def test_leg_labels_distinguish_decorated_graphs():
@@ -211,7 +214,7 @@ def test_leg_labels_distinguish_decorated_graphs():
         ["P0", "P1", "P2"], base,
         {1: ("P0", 2), 3: ("P0", 3), 2: ("P1", 3), 4: ("P2", 2), 5: ("P2", 3)},
     )
-    assert not isomorphic(a, b)
+    assert find_isomorphism(a, b) is None
     assert canonical_key(a) != canonical_key(b)
 
 
