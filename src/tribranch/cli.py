@@ -29,7 +29,6 @@ from dataclasses import replace
 from .complexes import construct_naive, construct_outer, euler_audit, check_local_models
 from .errors import MonodromyError, SchemaError, TribranchError
 from .essential import ESSENTIAL, check_essential
-from .intalg import min_generators
 from .openbook import rank_certificate, validate_spec
 from .schema import (
     REPORT_FORMAT,
@@ -98,7 +97,7 @@ def cmd_homology(args) -> int:
     report["homology"] = {
         "h1": h1.to_json(),
         "pretty": str(h1),
-        "min_generators": min_generators(h1),
+        "min_generators": cert.lower_bound,
     }
     report["certificate"] = cert.to_json()
     line = f"H_1(M) = {h1}; lower bound {cert.lower_bound}; {cert.verdict}"

@@ -11,7 +11,7 @@ An elementary move replaces exactly one curve of a pants decomposition:
   disconnect the pants graph by isolating a pants.
 * an S-move removes a self-loop curve.  Its support is a one-holed torus
   and the replacement is combinatorially another self-loop in the same
-  cuffs, so only the curve id changes.
+  cuffs, so only the curve id changes and there is no pairing to give.
 
 A path is a start decomposition together with a list of moves; consecutive
 decompositions share all curves except the moved one.  A closed-up path
@@ -62,8 +62,8 @@ class PantsMove:
 
     ``pairing`` describes the A-move re-pairing as two groups of cuff
     addresses of the pre-move decomposition (the four support cuffs).  When
-    omitted, the original grouping is kept, which replaces the curve without
-    re-distributing the cuffs.  S-moves take no pairing.
+    omitted, index 0 of :func:`enumerate_pairings`, the original grouping, is
+    kept.  An S-move takes no pairing; :func:`apply_move` rejects one.
     """
 
     removed: CurveId
@@ -121,12 +121,11 @@ def _support_cuffs(pd: PantsDecomposition, removed: CurveId) -> list:
 def enumerate_pairings(pd: PantsDecomposition, removed: CurveId) -> list:
     """The three two-and-two re-pairings of an A-move support, in a fixed order.
 
-    Index 0 keeps the original grouping; indices 1 and 2 are the two genuine
-    re-distributions, and the search expands only those two, in this order.
-    Index 0 gives a decomposition in the class of ``pd``: the support pants
-    keep their cuffs and only the slots and the curve id change.  Raises
-    :class:`MoveError` on an unknown curve or a self-loop, whose S-move
-    support has no re-pairing.
+    Each pairs the smallest support cuff with a partner.  Index 0 keeps the
+    original grouping (partner on the same pants) and stays in the class of
+    ``pd``; indices 1 and 2 re-distribute, partners in sorted order, and the
+    search expands only those two.  Raises :class:`MoveError` on an unknown
+    curve or a self-loop, whose S-move support has no re-pairing.
     """
     if move_kind(pd, removed) == S_MOVE:
         raise MoveError(
@@ -139,28 +138,22 @@ def enumerate_pairings(pd: PantsDecomposition, removed: CurveId) -> list:
     for partner in rest:
         other = tuple(c for c in rest if c != partner)
         pairings.append(((a, partner), other))
-    # Put the original grouping first.
-    (u, _), _ = pd.edges[removed]
-    orig = tuple(sorted(c for c in cuffs if c[0] == u))
-
-    def is_original(p):
-        return tuple(sorted(p[0])) == orig or tuple(sorted(p[1])) == orig
-
-    pairings.sort(key=lambda p: (not is_original(p), p))
+    # The original grouping first; the stable sort keeps the partner order.
+    pairings.sort(key=lambda p: p[0][1][0] != a[0])
     return pairings
 
 
 def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
     """Apply one elementary move, returning the new decomposition.
 
-    Raises :class:`MoveError` on an unknown curve, a kind inconsistent with
-    the support, a clashing fresh id, or an illegal re-pairing.
+    With no pairing, an A-move keeps the original grouping.  Raises
+    :class:`MoveError` on an unknown curve, a clashing fresh id, a kind
+    inconsistent with the support, a pairing on an S-move or an illegal
+    re-pairing.
     """
-    if mv.removed not in pd.edges:
-        raise MoveError(f"unknown curve {mv.removed!r}")
+    actual = move_kind(pd, mv.removed)
     if mv.added in pd.edges:
         raise MoveError(f"added curve id {mv.added!r} already present")
-    actual = move_kind(pd, mv.removed)
     if mv.kind != actual:
         raise MoveError(
             f"kind mismatch: move declares {mv.kind!r} but the support of "
@@ -168,18 +161,18 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
         )
 
     if actual == S_MOVE:
+        if mv.pairing is not None:
+            raise MoveError(f"S-move on {mv.removed!r} takes no pairing")
         edges = dict(pd.edges)
         ends = edges.pop(mv.removed)
         edges[mv.added] = ends
         return PantsDecomposition(pants=pd.pants, edges=edges, legs=dict(pd.legs))
 
-    (u, su), (v, sv) = pd.edges[mv.removed]
-    support = set(_support_cuffs(pd, mv.removed))
+    (u, _), (v, _) = pd.edges[mv.removed]
     if mv.pairing is None:
-        side_a = tuple(sorted(c for c in support if c[0] == u))
-        side_b = tuple(sorted(c for c in support if c[0] == v))
-        pairing = (side_a, side_b)
+        pairing = enumerate_pairings(pd, mv.removed)[0]
     else:
+        support = set(_support_cuffs(pd, mv.removed))
         pairing = tuple(tuple(tuple(c) for c in side) for side in mv.pairing)
         flat = [c for side in pairing for c in side]
         if len(pairing) != 2 or sorted(flat) != sorted(support):

@@ -26,6 +26,7 @@ decomposition and are reported as such by :func:`validate_pants`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import TribranchError
@@ -135,16 +136,6 @@ class PantsDecomposition:
         (u, _), (v, _) = self.edges[curve]
         return u == v
 
-    def slot_contents(self):
-        """Map cuff -> content, where content is ('edge', curve, end) or ('leg', label)."""
-        contents = {}
-        for curve in sorted(self.edges):
-            for end, cuff in enumerate(self.edges[curve]):
-                contents.setdefault(cuff, []).append(("edge", curve, end))
-        for label in sorted(self.legs):
-            contents.setdefault(self.legs[label], []).append(("leg", label))
-        return contents
-
     def surface_sig(self) -> SurfaceSig:
         """The surface this decomposition lives on, read off the graph."""
         v, e = self.n_pants, self.n_curves
@@ -197,14 +188,14 @@ def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
             report.add("bad-slot", f"leg {label} uses slot {s} not in 1..3")
 
     # Each of the 3 V cuff slots must carry exactly one edge end or one leg.
-    contents = pd.slot_contents()
+    uses = Counter(end for ends in pd.edges.values() for end in ends)
+    uses.update(pd.legs.values())
     for p in sorted(pd.pants):
         for s in (1, 2, 3):
-            uses = contents.get((p, s), [])
-            if len(uses) != 1:
+            if uses[p, s] != 1:
                 report.add(
                     "slot-usage",
-                    f"cuff ({p},{s}) used {len(uses)} times (expected exactly 1)",
+                    f"cuff ({p},{s}) used {uses[p, s]} times (expected exactly 1)",
                 )
 
     v, e, legs = pd.n_pants, pd.n_curves, pd.n_legs

@@ -9,6 +9,12 @@ isomorphic pairs, and the same lexicographically smallest vertex maps.
 ``h1_presentation`` is the H_1 presentation of an open book with nothing
 eliminated; ``openbook.h1_open_book`` must give its cokernel.
 
+``enumerate_pairings`` finds the original grouping of an A-move support by
+comparing each re-pairing with the cuffs of one support pants, and
+``original_grouping`` is the pairing a move with no pairing keeps;
+``paths.enumerate_pairings`` must return the same list, and
+``paths.apply_move`` with no pairing the decomposition that pairing gives.
+
 ``search_path_all_moves`` is the breadth-first search expanding every move,
 S-moves and the re-pairing that keeps the original grouping included;
 ``paths.search_path`` must return the same moves and closure.
@@ -29,7 +35,6 @@ from tribranch.paths import (
     PantsMove,
     PantsPath,
     apply_move,
-    enumerate_pairings,
     move_kind,
 )
 from tribranch.schema import COMPLEX_FORMAT
@@ -119,6 +124,44 @@ def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition
         if ok:
             return vmap
     return None
+
+
+def _support_cuffs(pd: PantsDecomposition, removed) -> list:
+    (u, su), (v, sv) = pd.edges[removed]
+    return [(u, s) for s in (1, 2, 3) if s != su] + [(v, s) for s in (1, 2, 3) if s != sv]
+
+
+def enumerate_pairings(pd: PantsDecomposition, removed) -> list:
+    """The three two-and-two splits of the support cuffs, the original grouping first.
+
+    Every split pairs the smallest cuff with one of the other three; the
+    split whose groups are the cuffs of the two support pants goes first and
+    the other two follow in sorted order.  Inputs are not checked.
+    """
+    cuffs = sorted(_support_cuffs(pd, removed))
+    a = cuffs[0]
+    rest = cuffs[1:]
+    pairings = []
+    for partner in rest:
+        other = tuple(c for c in rest if c != partner)
+        pairings.append(((a, partner), other))
+    (u, _), _ = pd.edges[removed]
+    orig = tuple(sorted(c for c in cuffs if c[0] == u))
+
+    def is_original(p):
+        return tuple(sorted(p[0])) == orig or tuple(sorted(p[1])) == orig
+
+    pairings.sort(key=lambda p: (not is_original(p), p))
+    return pairings
+
+
+def original_grouping(pd: PantsDecomposition, removed) -> tuple:
+    """The pairing that keeps each support pants' two cuffs together."""
+    (u, _), (v, _) = pd.edges[removed]
+    support = _support_cuffs(pd, removed)
+    side_a = tuple(sorted(c for c in support if c[0] == u))
+    side_b = tuple(sorted(c for c in support if c[0] == v))
+    return side_a, side_b
 
 
 def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,

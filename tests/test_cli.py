@@ -543,3 +543,26 @@ def test_mutated_path_start_gets_a_report(mutate, tmp_path, capsys):
             assert code in (0, 1, 2), (i, verb, err)
             if code != 2:
                 assert report_of(out)["exit_code"] == code, (i, verb, err)
+
+
+def test_pairing_on_an_s_move_is_a_failed_move(tmp_path, capsys):
+    # An S-move replaces a self-loop in the same cuffs, so there is no pairing
+    # to give; one given must fail the move, not be ignored.
+    rng = random.Random(20260810)
+    doc = next(d for d in (spec_to_json(random_outer_spec(rng, g_max=2)) for _ in range(50))
+               if any(mv["kind"] == "S" for mv in d["monodromy"]["pants_path"]["moves"]))
+    spec = tmp_path / "s_pairing.json"
+    spec.write_text(json.dumps(doc))
+    assert run(capsys, "validate", spec, "--quiet")[0] == 0
+    moves = doc["monodromy"]["pants_path"]["moves"]
+    k = next(i for i, mv in enumerate(moves) if mv["kind"] == "S")
+    moves[k]["pairing"] = [[["nowhere", 9]], [["P0", 1], ["P0", 2], ["P0", 3]]]
+    spec.write_text(json.dumps(doc))
+    for verb in OUTER_VERBS:
+        code, out, _ = run(capsys, *_verb_argv(verb, spec, tmp_path))
+        assert code == 1, verb
+        assert report_of(out)["validation"] == [{
+            "code": "move-failed",
+            "message": f"S-move on {moves[k]['removed']!r} takes no pairing",
+            "where": f"pants_path step {k}",
+        }]

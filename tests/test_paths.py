@@ -86,6 +86,29 @@ def test_unknown_and_clashing_curves_rejected():
         apply_move(pd, PantsMove("zz", "x", A_MOVE))
     with pytest.raises(MoveError, match="already present"):
         apply_move(pd, PantsMove("c1", "c1", A_MOVE))
+    # An unknown removed curve is reported before a clashing added id.
+    with pytest.raises(MoveError, match="unknown curve"):
+        apply_move(pd, PantsMove("zz", "c1", A_MOVE))
+
+
+def test_pairings_and_omitted_pairing_match_the_oracle():
+    """The pairings of every non-loop curve come in the oracle's order, and a
+    move with no pairing keeps the oracle's original grouping."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(1000):
+        sig = random_page(rng, g_max=2, b_max=7)
+        pd = random_decomposition(sig, rng, scramble=rng.randint(0, 6))
+        for curve in pd.curve_ids():
+            if pd.is_self_loop(curve):
+                continue
+            pairings = enumerate_pairings(pd, curve)
+            assert pairings == oracles.enumerate_pairings(pd, curve)
+            original = oracles.original_grouping(pd, curve)
+            kept = apply_move(pd, PantsMove(curve, "z", A_MOVE))
+            assert kept == apply_move(pd, PantsMove(curve, "z", A_MOVE, original))
+            checked += 1
+    assert checked > 3000
 
 
 def test_enumerate_pairings_rejects_unknown_curve():

@@ -70,7 +70,10 @@ def test_validate_slot_reuse_detected():
         {1: ("P0", 1), 2: ("P0", 3), 3: ("P1", 2), 4: ("P1", 3)},
     )
     report = validate_pants(sig, pd)
-    assert "slot-usage" in report.codes()
+    assert [e.message for e in report.entries if e.code == "slot-usage"] == [
+        "cuff (P0,1) used 2 times (expected exactly 1)",
+        "cuff (P0,2) used 0 times (expected exactly 1)",
+    ]
 
 
 def test_validate_disconnected():
