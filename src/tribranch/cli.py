@@ -24,7 +24,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import replace
 
 from .complexes import construct_naive, construct_outer, euler_audit, check_local_models
 from .errors import MonodromyError, SchemaError, TribranchError
@@ -111,7 +110,7 @@ def cmd_construct(args) -> int:
     naive = args.mode == "naive"
     # The three-page complex never reads the pants path, so naive mode checks
     # only the page, the monodromy and the windings.
-    checked = validate_spec(replace(spec, pants_path=None) if naive else spec)
+    checked = validate_spec(spec._replace(pants_path=None) if naive else spec)
     report["validation"] = checked.report.to_json()
     if not checked.report.ok:
         return _emit(report, EXIT_DOMAIN, args,

@@ -41,8 +41,7 @@ convention fired.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from .errors import ConstructionError, TribranchError
 from .openbook import CheckedSpec, OpenBookSpec
@@ -72,43 +71,42 @@ ONE_HOLED_TORUS = SurfaceSig(1, 1)
 ANNULUS = SurfaceSig(0, 2)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(namedtuple("Branch", "id sig taxonomy slots level refs")):
     """One branch, recorded by the type of its compactification.
 
-    ``slots`` names the boundary circles of the compactification; each slot
-    is matched to exactly one germ of exactly one branching circle.
+    ``sig`` is the compactification's :class:`SurfaceSig` and ``slots`` a
+    tuple naming its boundary circles; each slot is matched to exactly one
+    germ of exactly one branching circle.  ``level`` is an int or None, and
+    ``refs`` a dict of provenance, a fresh one per branch when omitted.
     """
 
-    id: str
-    sig: SurfaceSig
-    taxonomy: str
-    slots: tuple
-    level: int = None
-    refs: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, id: str, sig: SurfaceSig, taxonomy: str, slots: tuple,
+                level: int = None, refs: dict = None):
+        return tuple.__new__(cls, (id, sig, taxonomy, slots, level,
+                                   {} if refs is None else refs))
 
 
-@dataclass(frozen=True)
-class BranchingCircle:
-    """A component of the branching set with its three germs."""
+class BranchingCircle(namedtuple("BranchingCircle", "id germs")):
+    """A component of the branching set with its three germs.
 
-    id: str
-    germs: tuple  # three (branch_id, slot) pairs
+    ``germs`` is a tuple of three (branch_id, slot) pairs.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "id kind base boundary_label pi1_rank_bound",
+                       defaults=(None, None, 0))):
     """A component of the complement of the surface.
 
-    Product blocks are (0,1) x base; their fundamental group is free of rank
-    2*genus + boundary - 1 of the base.  Solid torus blocks have rank 1.
+    Product blocks are (0,1) x base, with ``base`` a :class:`SurfaceSig`;
+    their fundamental group is free of rank 2*genus + boundary - 1 of the
+    base.  Solid torus blocks carry a ``boundary_label`` and have rank 1.
     """
 
-    id: str
-    kind: str
-    base: SurfaceSig = None
-    boundary_label: int = None
-    pi1_rank_bound: int = 0
+    __slots__ = ()
 
 
 def product_block(block_id: str, base: SurfaceSig) -> Block:
@@ -126,20 +124,23 @@ def solid_torus_block(block_id: str, label: int) -> Block:
     return Block(id=block_id, kind=SOLID_TORUS, boundary_label=label, pi1_rank_bound=1)
 
 
-@dataclass(frozen=True)
-class TribranchedComplex:
+class TribranchedComplex(namedtuple("TribranchedComplex",
+                                     "branches circles blocks sides meta")):
     """Branches, branching circles, blocks, and their incidences.
 
-    ``sides`` assigns each of the two sides of each branch to the block it
-    faces: branch id -> (block on side 0, block on side 1).  The complex's
-    JSON form is written by :func:`tribranch.schema.complex_json`.
+    ``branches``, ``circles`` and ``blocks`` are tuples.  ``sides`` is a
+    dict assigning each of the two sides of each branch to the block it
+    faces: branch id -> (block on side 0, block on side 1).  ``meta`` is a
+    dict, a fresh one per complex when omitted.  The complex's JSON form is
+    written by :func:`tribranch.schema.complex_json`.
     """
 
-    branches: tuple
-    circles: tuple
-    blocks: tuple
-    sides: dict
-    meta: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, branches: tuple, circles: tuple, blocks: tuple, sides: dict,
+                meta: dict = None):
+        return tuple.__new__(cls, (branches, circles, blocks, sides,
+                                   {} if meta is None else meta))
 
     def inventory(self) -> dict:
         """The sizes, the branches per taxonomy and the blocks per kind."""
@@ -448,14 +449,16 @@ def check_local_models(tc: TribranchedComplex) -> ValidationReport:
     return report
 
 
-@dataclass
-class EulerAudit:
-    """Consistency audit of Euler characteristics, computed two ways."""
+class EulerAudit(namedtuple("EulerAudit", "chi_from_branches chi_from_inventory "
+                                         "per_level_page_chi report")):
+    """Consistency audit of Euler characteristics, computed two ways.
 
-    chi_from_branches: int
-    chi_from_inventory: int = None
-    per_level_page_chi: dict = field(default_factory=dict)
-    report: ValidationReport = field(default_factory=ValidationReport)
+    ``chi_from_inventory`` is None when the construction is not a built-in
+    one, ``per_level_page_chi`` a dict level -> chi of that level's page
+    pieces and ``report`` the :class:`ValidationReport` of the audit.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -480,46 +483,42 @@ def euler_audit(tc: TribranchedComplex) -> EulerAudit:
     number is recomputed from the page inventory, and the page pieces of
     each level must add up to the page.
     """
-    audit = EulerAudit(
-        chi_from_branches=sum(b.sig.euler_char for b in tc.branches)
-    )
+    chi_from_branches = sum(b.sig.euler_char for b in tc.branches)
+    chi_from_inventory, sums, report = None, {}, ValidationReport()
     for branch in tc.branches:
         if branch.taxonomy in ANNULUS_TAXONOMIES and branch.sig.euler_char != 0:
-            audit.report.add(
+            report.add(
                 "annulus-chi",
                 f"{branch.taxonomy} {branch.id} has chi {branch.sig.euler_char} != 0",
             )
     construction = tc.meta.get("construction")
     page = tc.meta.get("page")
     if construction == "naive" and page is not None:
-        audit.chi_from_inventory = 3 * page.euler_char
+        chi_from_inventory = 3 * page.euler_char
         for branch in tc.branches:
             if branch.sig.euler_char != page.euler_char:
-                audit.report.add(
+                report.add(
                     "naive-branch-chi",
                     f"branch {branch.id} has chi {branch.sig.euler_char}, "
                     f"page has {page.euler_char}",
                 )
     elif construction == "outer" and page is not None:
         levels = tc.meta.get("levels", 0)
-        audit.chi_from_inventory = levels * page.euler_char
+        chi_from_inventory = levels * page.euler_char
         sums = {k: 0 for k in range(levels)}
         for branch in tc.branches:
             if branch.taxonomy in (PANTS_PIECE, MERGED_PIECE):
                 sums[branch.level] += branch.sig.euler_char
-        audit.per_level_page_chi = sums
         for k, value in sums.items():
             if value != page.euler_char:
-                audit.report.add(
+                report.add(
                     "level-chi",
                     f"page pieces at level {k} sum to chi {value}, "
                     f"page has {page.euler_char}",
                 )
-    if audit.chi_from_inventory is not None:
-        if audit.chi_from_inventory != audit.chi_from_branches:
-            audit.report.add(
-                "chi-mismatch",
-                f"branch sum {audit.chi_from_branches} != inventory "
-                f"{audit.chi_from_inventory}",
-            )
-    return audit
+    if chi_from_inventory is not None and chi_from_inventory != chi_from_branches:
+        report.add(
+            "chi-mismatch",
+            f"branch sum {chi_from_branches} != inventory {chi_from_inventory}",
+        )
+    return EulerAudit(chi_from_branches, chi_from_inventory, sums, report)

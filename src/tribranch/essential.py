@@ -26,7 +26,7 @@ makes the condition NotCertified, which means "not established", never
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .complexes import (
     HORIZONTAL_ANNULUS,
@@ -80,11 +80,10 @@ CONDITION_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    number: int
-    status: str
-    witness: str
+class ConditionResult(namedtuple("ConditionResult", "number status witness")):
+    """The status of one numbered condition and the witness behind it."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -95,16 +94,19 @@ class ConditionResult:
         }
 
 
-@dataclass
-class EssentialityReport:
+class EssentialityReport(namedtuple("EssentialityReport", "conditions notes")):
     """Per-condition statuses and the overall verdict.
 
-    The overall verdict is Essential exactly when every condition is Pass or
+    ``conditions`` is the list of :class:`ConditionResult` and ``notes`` a
+    list of strings, a fresh one per report when omitted.  The overall
+    verdict is Essential exactly when every condition is Pass or
     StructuralPass.
     """
 
-    conditions: list
-    notes: list = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, conditions: list, notes: list = None):
+        return tuple.__new__(cls, (conditions, [] if notes is None else notes))
 
     @property
     def verdict(self) -> str:

@@ -25,23 +25,21 @@ because the benchmark harness in ``perfbench/`` looks them up by name.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import TribranchError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """An immutable integer matrix stored as a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+    def __new__(cls, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise TribranchError("matrix dimensions do not match the entry grid")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -94,19 +92,15 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Diagonalization U * A * V = S with unimodular U, V.
+class SnfResult(namedtuple("SnfResult", "u s v invariant_factors")):
+    """Diagonalization U * A * V = S with unimodular U, V (three IntMatrix).
 
     The diagonal of S carries the invariant factors d_1 | d_2 | ... with
-    d_i >= 0 and trailing zeros allowed; ``invariant_factors`` lists the
-    whole diagonal.
+    d_i >= 0 and trailing zeros allowed; ``invariant_factors`` is a tuple
+    of the whole diagonal.
     """
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    invariant_factors: tuple
+    __slots__ = ()
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
@@ -293,22 +287,21 @@ def invariant_factors(a: IntMatrix) -> tuple:
     return tuple(chain[:rank]) + (0,) * (len(chain) - rank)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group Z^free_rank + sum of Z/d cyclic parts.
 
-    ``torsion`` lists the cyclic orders >= 2 in divisibility order.
+    ``torsion`` is a tuple of the cyclic orders >= 2 in divisibility order.
     """
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __new__(cls, free_rank: int, torsion: tuple):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise TribranchError(f"torsion {self.torsion} not in divisibility order")
-        if any(d < 2 for d in self.torsion):
+                raise TribranchError(f"torsion {torsion} not in divisibility order")
+        if any(d < 2 for d in torsion):
             raise TribranchError("torsion orders must be >= 2")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     def __str__(self) -> str:
         parts = []

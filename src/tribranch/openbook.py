@@ -45,7 +45,7 @@ established by this bound; it never asserts the hypothesis is false.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MonodromyError, TribranchError
 from .intalg import AbelianGroup, IntMatrix, cokernel, fits_str_limit, min_generators
@@ -99,11 +99,13 @@ def transvection(j_form: IntMatrix, c) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class MonodromyH1:
-    """The action of the monodromy on H_1 of the page, in the standard basis."""
+class MonodromyH1(namedtuple("MonodromyH1", "matrix")):
+    """The action of the monodromy on H_1 of the page, in the standard basis.
 
-    matrix: IntMatrix
+    ``matrix`` is the action's :class:`IntMatrix`.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def identity(page: SurfaceSig) -> "MonodromyH1":
@@ -166,22 +168,20 @@ def preserves_intersection_form(page: SurfaceSig, mat: IntMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OpenBookSpec:
+class OpenBookSpec(namedtuple("OpenBookSpec", "page monodromy pants_path name windings "
+                                             "degenerate_path_convention",
+                              defaults=(None, "", None, True))):
     """A page, a monodromy action, and optionally a closed-up pants path.
 
-    ``windings`` carries one column per boundary circle: the homology class
-    by which the monodromy drags arcs reaching that circle.  It is zero for
-    directly specified monodromies and only becomes nonzero through
-    stabilization; see the module docstring.
+    ``page`` is a :class:`SurfaceSig`, ``monodromy`` a :class:`MonodromyH1`
+    and ``pants_path`` a :class:`PantsPath` or None.  ``windings`` is an
+    :class:`IntMatrix` or None and carries one column per boundary circle:
+    the homology class by which the monodromy drags arcs reaching that
+    circle.  It is zero for directly specified monodromies and only becomes
+    nonzero through stabilization; see the module docstring.
     """
 
-    page: SurfaceSig
-    monodromy: MonodromyH1
-    pants_path: PantsPath = None
-    name: str = ""
-    windings: IntMatrix = None
-    degenerate_path_convention: bool = True
+    __slots__ = ()
 
     def winding_matrix(self) -> IntMatrix:
         if self.windings is not None:
@@ -189,20 +189,17 @@ class OpenBookSpec:
         return IntMatrix.zeros(h1_rank(self.page), self.page.n_boundary)
 
 
-@dataclass(frozen=True)
-class CheckedSpec:
+class CheckedSpec(namedtuple("CheckedSpec", "spec report decomps closure_map",
+                             defaults=(None, None))):
     """A spec with its validation report and the path replay behind it.
 
-    ``decomps`` are the decompositions C_0, ..., C_n that the path check
-    replayed and ``closure_map`` the closure's vertex map C_n -> C_0.  Both
-    are None without a pants path, and may be partial or None when the
-    report is not clean.
+    ``decomps`` is the list of decompositions C_0, ..., C_n that the path
+    check replayed and ``closure_map`` the dict of the closure's vertex map
+    C_n -> C_0.  Both are None without a pants path, and may be partial or
+    None when the report is not clean.
     """
 
-    spec: OpenBookSpec
-    report: ValidationReport
-    decomps: list = None
-    closure_map: dict = None
+    __slots__ = ()
 
 
 def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
@@ -284,19 +281,17 @@ def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:
     return cokernel(IntMatrix(w.rows, 2 * g + w.cols - 1, entries))
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(namedtuple("RankCertificate", "h1 lower_bound verdict")):
     """The computable lower bound for the rank of the fundamental group.
 
-    ``lower_bound`` is the minimal generator count of H_1(M), which bounds
-    the rank of pi_1(M) from below.  Certified means the bound is at least
-    four.  Uncertified means the hypothesis was not established; it does NOT
-    mean the hypothesis is false.
+    ``h1`` is the :class:`AbelianGroup` H_1(M) and ``lower_bound`` its
+    minimal generator count, which bounds the rank of pi_1(M) from below.
+    Certified means the bound is at least four.  Uncertified means the
+    hypothesis was not established; it does NOT mean the hypothesis is
+    false.
     """
 
-    h1: AbelianGroup
-    lower_bound: int
-    verdict: str
+    __slots__ = ()
 
     @property
     def statement(self) -> str:
@@ -382,11 +377,11 @@ def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
     return IntMatrix.from_rows(list(rows[:2 * g]) + changed)
 
 
-@dataclass(frozen=True)
-class StabilizationResult:
-    spec: OpenBookSpec
-    change_of_basis: IntMatrix
-    notes: tuple = ()
+class StabilizationResult(namedtuple("StabilizationResult", "spec change_of_basis notes",
+                                     defaults=((),))):
+    """The stabilized spec, the basis change P as an IntMatrix and notes."""
+
+    __slots__ = ()
 
 
 def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> StabilizationResult:

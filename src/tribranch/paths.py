@@ -35,8 +35,7 @@ its support pants, so it never leaves the node's class.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from itertools import count
 
 from .errors import MoveError, TribranchError
@@ -56,20 +55,17 @@ A_MOVE = "A"
 S_MOVE = "S"
 
 
-@dataclass(frozen=True)
-class PantsMove:
-    """One elementary move.
+class PantsMove(namedtuple("PantsMove", "removed added kind pairing", defaults=(None,))):
+    """One elementary move: curve ``removed`` gives way to curve ``added``.
 
-    ``pairing`` describes the A-move re-pairing as two groups of cuff
-    addresses of the pre-move decomposition (the four support cuffs).  When
-    omitted, index 0 of :func:`enumerate_pairings`, the original grouping, is
-    kept.  An S-move takes no pairing; :func:`apply_move` rejects one.
+    ``kind`` is A_MOVE or S_MOVE.  ``pairing`` describes the A-move
+    re-pairing as a tuple of two groups of cuff addresses of the pre-move
+    decomposition (the four support cuffs).  When omitted, index 0 of
+    :func:`enumerate_pairings`, the original grouping, is kept.  An S-move
+    takes no pairing; :func:`apply_move` rejects one.
     """
 
-    removed: CurveId
-    added: CurveId
-    kind: str
-    pairing: tuple = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {"removed": self.removed, "added": self.added, "kind": self.kind}
@@ -78,18 +74,21 @@ class PantsMove:
         return doc
 
 
-@dataclass
-class PantsPath:
+class PantsPath(namedtuple("PantsPath", "start moves closure")):
     """A move sequence C_0, ..., C_n with a closure onto the start system.
 
-    ``closure`` maps each curve of C_n to the curve of C_0 whose monodromy
-    image it is.  A trivial path (no moves) with the identity closure
-    describes a monodromy fixing every curve of C_0.
+    ``start`` is the decomposition C_0 and ``moves`` the list of
+    :class:`PantsMove`.  ``closure`` is a dict mapping each curve of C_n to
+    the curve of C_0 whose monodromy image it is.  A trivial path (no moves)
+    with the identity closure describes a monodromy fixing every curve of
+    C_0.  Each path owns its list and dict.
     """
 
-    start: PantsDecomposition
-    moves: list = field(default_factory=list)
-    closure: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, start: PantsDecomposition, moves: list = None, closure: dict = None):
+        return tuple.__new__(cls, (start, [] if moves is None else moves,
+                                   {} if closure is None else closure))
 
     def to_json(self) -> dict:
         return {

@@ -7,22 +7,25 @@ problem at once.  An empty report means the object is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    message: str
-    where: str = ""
+class Issue(namedtuple("Issue", "code message where", defaults=("",))):
+    """One violated invariant: a stable ``code``, a message and a location."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"code": self.code, "message": self.message, "where": self.where}
 
 
-@dataclass
-class ValidationReport:
-    entries: list[Issue] = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "entries")):
+    """The :class:`Issue` list of one validation; each report owns its list."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: list = None):
+        return tuple.__new__(cls, ([] if entries is None else entries,))
 
     @property
     def ok(self) -> bool:

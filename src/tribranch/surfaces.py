@@ -26,8 +26,7 @@ decomposition and are reported as such by :func:`validate_pants`.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import TribranchError
 from .reports import ValidationReport
@@ -41,18 +40,15 @@ Cuff = tuple[PantsId, int]
 Multicurve = frozenset
 
 
-@dataclass(frozen=True, order=True)
-class SurfaceSig:
+class SurfaceSig(namedtuple("SurfaceSig", "genus n_boundary")):
     """A compact connected oriented surface up to homeomorphism."""
 
-    genus: int
-    n_boundary: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0 or self.n_boundary < 0:
-            raise TribranchError(
-                f"invalid surface signature ({self.genus}, {self.n_boundary})"
-            )
+    def __new__(cls, genus: int, n_boundary: int):
+        if genus < 0 or n_boundary < 0:
+            raise TribranchError(f"invalid surface signature ({genus}, {n_boundary})")
+        return tuple.__new__(cls, (genus, n_boundary))
 
     @property
     def euler_char(self) -> int:
@@ -90,11 +86,10 @@ def components(nodes, pairs) -> list:
     return sorted(comps)
 
 
-@dataclass(frozen=True)
-class PantsDecomposition:
+class PantsDecomposition(namedtuple("PantsDecomposition", "pants edges legs")):
     """A pants decomposition as a decorated trivalent multigraph.
 
-    ``pants``  -- the pants (vertex) ids.
+    ``pants``  -- the frozenset of pants (vertex) ids.
     ``edges``  -- curve id -> ordered pair of cuffs.  The order of the two
                   endpoints is meaningful: endpoint 0 is the negative side of
                   the curve and endpoint 1 the positive side, which is where
@@ -105,9 +100,7 @@ class PantsDecomposition:
     Instances are treated as immutable; operations return new objects.
     """
 
-    pants: frozenset
-    edges: dict
-    legs: dict
+    __slots__ = ()
 
     @staticmethod
     def build(pants, edges, legs) -> "PantsDecomposition":
@@ -215,20 +208,19 @@ def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class CutPiece:
+class CutPiece(namedtuple("CutPiece", "pants glued boundary sig")):
     """One component of the surface cut along a subset of the curves.
 
-    ``pants``    -- the pants contained in the piece.
-    ``glued``    -- curve ids glued inside the piece (both sides in it, not cut).
-    ``boundary`` -- provenance of each boundary circle: ('leg', label) or
-                    ('cut', curve, end) naming the side of a cut curve.
+    ``pants``    -- the frozenset of pants contained in the piece.
+    ``glued``    -- the frozenset of curve ids glued inside the piece (both
+                    sides in it, not cut).
+    ``boundary`` -- a tuple with the provenance of each boundary circle:
+                    ('leg', label) or ('cut', curve, end) naming the side of
+                    a cut curve.
+    ``sig``      -- the piece's :class:`SurfaceSig`.
     """
 
-    pants: frozenset
-    glued: frozenset
-    boundary: tuple
-    sig: SurfaceSig
+    __slots__ = ()
 
 
 def cut_structure(pd: PantsDecomposition, cut: set) -> list:

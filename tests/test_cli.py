@@ -566,3 +566,17 @@ def test_pairing_on_an_s_move_is_a_failed_move(tmp_path, capsys):
             "message": f"S-move on {moves[k]['removed']!r} takes no pairing",
             "where": f"pants_path step {k}",
         }]
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # Building dataclass records and importing `dataclasses` (with inspect,
+    # ast and dis) cost about 30 ms of every `tribranch` process.  `-S`
+    # keeps site hooks from loading it on their own.
+    src = str(Path(tribranch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import tribranch.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
