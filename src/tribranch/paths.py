@@ -171,10 +171,10 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
     if mv.pairing is None:
         pairing = enumerate_pairings(pd, mv.removed)[0]
     else:
-        support = set(_support_cuffs(pd, mv.removed))
+        support = sorted(_support_cuffs(pd, mv.removed))
         pairing = tuple(tuple(tuple(c) for c in side) for side in mv.pairing)
         flat = [c for side in pairing for c in side]
-        if len(pairing) != 2 or sorted(flat) != sorted(support):
+        if len(pairing) != 2 or sorted(flat) != support:
             raise MoveError(
                 "re-pairing must partition the four support cuffs into two groups"
             )
@@ -360,10 +360,12 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     node being expanded, which is already seen, so expanding them would
     change neither the moves, nor the fresh ids, nor the closure.  At most
     ``budget`` nodes are expanded; exhaustion returns ``None`` (not an
-    error).  On success the returned path carries the found isomorphism as
-    its closure and always satisfies :func:`validate_path`.
+    error); a budget that is not a positive ``int`` (a ``bool``, a float,
+    a string) is a :class:`TribranchError`.  On success the returned path
+    carries the found isomorphism as its closure and always satisfies
+    :func:`validate_path`.
     """
-    if budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise TribranchError("budget must be a positive integer")
     sig = c.surface_sig()
     if sig != c_target.surface_sig():

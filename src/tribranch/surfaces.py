@@ -268,18 +268,20 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
 # (McKay & Piperno, Practical graph isomorphism II, J. Symbolic Comput. 60,
 # 2014): a pants starts coloured by its leg labels and self-loop count, and
 # colour classes are split by the sorted colours of the non-loop neighbours
-# until the partition is stable.  A colour is always the rank of a sorted
-# signature, never a pants id, so colours are isomorphism invariant and
-# comparable between two decompositions.
+# until the partition is stable or discrete.  A colour is always the rank of
+# a sorted signature, never a pants id, so colours are isomorphism invariant
+# and comparable between two decompositions.  A discrete colouring numbers
+# the pants 0..V-1, which is the vertex order a canonical key encodes.
 # ---------------------------------------------------------------------------
 
 
-def _encoding(pd: PantsDecomposition, order: tuple) -> tuple:
-    index = {p: i for i, p in enumerate(order)}
-    edges = sorted(
-        tuple(sorted((index[pd.edges[c][0][0]], index[pd.edges[c][1][0]])))
-        for c in pd.edges
-    )
+def _encoding(pd: PantsDecomposition, index: dict) -> tuple:
+    """The sorted edge list and the leg positions under a vertex numbering."""
+    edges = []
+    for (u, _), (v, _) in pd.edges.values():
+        i, j = index[u], index[v]
+        edges.append((i, j) if i <= j else (j, i))
+    edges.sort()
     legs = tuple(index[pd.legs[label][0]] for label in sorted(pd.legs))
     return (tuple(edges), legs)
 
@@ -290,15 +292,20 @@ def _ranks(signature: dict) -> dict:
 
 
 def _refine(colour: dict, nbrs: dict) -> dict:
-    """Split colour classes by the sorted colours of the neighbours until stable."""
+    """Split colour classes by the sorted colours of the neighbours.
+
+    Stops when a round splits nothing or when every pants has a colour of
+    its own, since a discrete colouring cannot split further.
+    """
     n_colours = len(set(colour.values()))
-    while True:
+    while n_colours < len(colour):
         finer = _ranks({p: (c, tuple(sorted(colour[q] for q in nbrs[p])))
                         for p, c in colour.items()})
         n_finer = len(set(finer.values()))
         if n_finer == n_colours:
-            return colour
+            break
         colour, n_colours = finer, n_finer
+    return colour
 
 
 def _colours(pd: PantsDecomposition):
@@ -328,24 +335,25 @@ def canonical_key(pd: PantsDecomposition) -> tuple:
     Individualisation-refinement: when the stable colouring leaves a class of
     several pants, each pants of the first such class is given a colour of
     its own in turn and the colouring is refined again.  Every leaf of that
-    search orders the pants by colour; the key is the smallest encoding over
-    all leaves.  A page with a large automorphism group costs one leaf per
-    automorphism; leg labels pin most pants, so pages seldom have one.
+    search is a discrete colouring, which numbers the pants by colour; the
+    key is the smallest encoding over all leaves.  A page with a large
+    automorphism group costs one leaf per automorphism; leg labels pin most
+    pants, so pages seldom have one.
     """
     colour, _, _, nbrs = _colours(pd)
     best = None
 
     def search(colour):
         nonlocal best
-        cells = {}
-        for p, c in colour.items():
-            cells.setdefault(c, []).append(p)
-        split = min((c for c, members in cells.items() if len(members) > 1), default=None)
-        if split is None:
-            enc = _encoding(pd, tuple(sorted(colour, key=colour.get)))
+        if len(set(colour.values())) == len(colour):
+            enc = _encoding(pd, colour)
             if best is None or enc < best:
                 best = enc
             return
+        cells = {}
+        for p, c in colour.items():
+            cells.setdefault(c, []).append(p)
+        split = min(c for c, members in cells.items() if len(members) > 1)
         for p in cells[split]:
             search(_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs))
 

@@ -6,6 +6,12 @@ pants of the property suites.  The package routines must return exactly
 what these return: equal canonical keys for exactly the leg-respecting
 isomorphic pairs, and the same lexicographically smallest vertex maps.
 
+``refine_until_stable`` is the colour refinement that always runs one
+more round to confirm that nothing splits, even once every pants has a
+colour of its own; ``stable_colours`` and ``individualised_key`` are
+``surfaces._colours`` and ``surfaces.canonical_key`` built on it, and the
+package routines must return exactly what they return.
+
 ``h1_presentation`` is the H_1 presentation of an open book with nothing
 eliminated; ``openbook.h1_open_book`` must give its cokernel.
 
@@ -68,6 +74,72 @@ def canonical_key(pd: PantsDecomposition) -> tuple:
         enc = (tuple(edges), tuple(index[pd.legs[label][0]] for label in sorted(pd.legs)))
         if best is None or enc < best:
             best = enc
+    return best
+
+
+def _ranks(signature: dict) -> dict:
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+    return {p: rank[sig] for p, sig in signature.items()}
+
+
+def refine_until_stable(colour: dict, nbrs: dict) -> dict:
+    """Split colour classes by the sorted neighbour colours until a round splits none."""
+    n_colours = len(set(colour.values()))
+    while True:
+        finer = _ranks({p: (c, tuple(sorted(colour[q] for q in nbrs[p])))
+                        for p, c in colour.items()})
+        n_finer = len(set(finer.values()))
+        if n_finer == n_colours:
+            return colour
+        colour, n_colours = finer, n_finer
+
+
+def stable_colours(pd: PantsDecomposition):
+    """``(colour, legs, loops, nbrs)`` as ``surfaces._colours`` returns them."""
+    legs = {p: () for p in pd.pants}
+    loops = dict.fromkeys(pd.pants, 0)
+    nbrs = {p: [] for p in pd.pants}
+    for label in sorted(pd.legs):
+        legs[pd.legs[label][0]] += (label,)
+    for (u, _), (v, _) in pd.edges.values():
+        if u == v:
+            loops[u] += 1
+        else:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    colour = refine_until_stable(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs)
+    return colour, legs, loops, nbrs
+
+
+def individualised_key(pd: PantsDecomposition) -> tuple:
+    """The smallest leaf encoding of individualisation-refinement.
+
+    Each pants of the first class with several pants gets a colour of its
+    own in turn and the colouring is refined again; a discrete colouring
+    orders the pants by colour and is encoded like the exhaustive key.
+    """
+    colour, _, _, nbrs = stable_colours(pd)
+    best = None
+
+    def search(colour):
+        nonlocal best
+        cells = {}
+        for p, c in colour.items():
+            cells.setdefault(c, []).append(p)
+        split = min((c for c, members in cells.items() if len(members) > 1), default=None)
+        if split is None:
+            index = {p: i for i, p in enumerate(sorted(colour, key=colour.get))}
+            edges = sorted(tuple(sorted((index[u], index[v])))
+                           for (u, _), (v, _) in pd.edges.values())
+            enc = (tuple(edges), tuple(index[pd.legs[label][0]] for label in sorted(pd.legs)))
+            if best is None or enc < best:
+                best = enc
+            return
+        for p in cells[split]:
+            search(refine_until_stable(_ranks({q: (c, q != p) for q, c in colour.items()}),
+                                       nbrs))
+
+    search(colour)
     return best
 
 

@@ -10,6 +10,7 @@ from tribranch import (
     standard_decomposition,
     validate_pants,
 )
+from tribranch import surfaces
 from tribranch.surfaces import vertex_map_from_curve_bijection
 
 from genutils import make_rng, random_decomposition, random_move
@@ -46,6 +47,12 @@ def check_against_oracles(a, b, rng):
                 == oracles.vertex_map_from_curve_bijection(a, b, curve_map))
 
 
+def check_refinement(pd):
+    """Colouring and key equal those of the refinement that always confirms."""
+    assert surfaces._colours(pd) == oracles.stable_colours(pd)
+    assert canonical_key(pd) == oracles.individualised_key(pd)
+
+
 def check_relabelled(pd, rng):
     copy, curve_map = relabel(pd, rng)
     assert canonical_key(copy) == canonical_key(pd)
@@ -66,6 +73,7 @@ def test_routines_agree_with_exhaustive_oracles():
     isomorphic_pairs = 0
     for pd in decomps:
         assert canonical_key(pd) is not None
+        check_refinement(pd)
         check_relabelled(pd, rng)
         other = rng.choice([d for d in decomps if d.surface_sig() == pd.surface_sig()])
         check_against_oracles(pd, other, rng)
@@ -92,6 +100,23 @@ def test_leg_fixing_automorphism_keeps_the_smallest_map():
     rng = make_rng(32)
     for _ in range(20):
         check_relabelled(pd, rng)
+
+
+def test_key_of_a_page_pinned_by_its_legs_ranks_once(monkeypatch):
+    # The legs 1, 2 / 3 / 4, 5 of F(0,5) give its three pants three colours
+    # from the start, so no refinement round is needed to confirm them.
+    pd = standard_decomposition(SurfaceSig(0, 5))
+    calls = []
+    ranks = surfaces._ranks
+
+    def spy(signature):
+        calls.append(signature)
+        return ranks(signature)
+
+    monkeypatch.setattr(surfaces, "_ranks", spy)
+    key = canonical_key(pd)
+    assert len(calls) == 1
+    assert key == oracles.individualised_key(pd)
 
 
 def closed_page(pairs):
@@ -131,6 +156,7 @@ def test_closed_pages_without_legs():
             pd = apply_move(pd, random_move(pd, rng, f"m{i}_{j}"))
         pages.append(pd)
     for pd in pages:
+        check_refinement(pd)
         check_relabelled(pd, rng)
         check_against_oracles(pd, rng.choice(
             [d for d in pages if d.surface_sig() == pd.surface_sig()]), rng)

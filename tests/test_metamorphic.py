@@ -1,0 +1,98 @@
+"""Relations that must hold between two ``certify`` runs.
+
+A certificate pinned by the golden digests is checked only against its own
+earlier bytes.  A relation between two runs has no such blind spot.
+
+Renaming: every pants and curve id of a path-carrying golden spec gets a
+new name, in the start, the moves, the pairings and the closure.  Ids are
+bookkeeping, so the exit code, the rank certificate, the inventory, the
+verdict, the four condition statuses and the validation issue codes must
+not change.  Curve ids are renamed in a shuffled order.  Pants ids keep
+their order: ``apply_move`` hands the re-paired cuffs to the support pants
+by id order, so after a reordering a later move's pairing would address
+other cuffs, and the renamed spec would describe another path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+
+from test_golden_reports import write_corpus
+from tribranch.cli import main
+
+SEED = 20261020
+
+
+def renamed(doc: dict, rng: random.Random) -> dict:
+    """A copy of the spec document with every pants and curve id renamed."""
+    path = doc["monodromy"]["pants_path"]
+    start = path["start"]
+    pants = set(start["pants"])
+    curves = set(start["edges"]) | set(path["closure"]) | set(path["closure"].values())
+    for mv in path["moves"]:
+        curves |= {mv["removed"], mv["added"]}
+        for side in mv.get("pairing") or ():
+            pants.update(cuff[0] for cuff in side)
+    pants_names = [f"V{n}" for n in sorted(rng.sample(range(100, 1000), len(pants)))]
+    curve_names = [f"e{n}" for n in rng.sample(range(100, 1000), len(curves))]
+    new_pants = dict(zip(sorted(pants), pants_names))
+    new_curve = dict(zip(sorted(curves), curve_names))
+
+    def cuff(c):
+        return [new_pants[c[0]], c[1]]
+
+    moves = []
+    for mv in path["moves"]:
+        move = dict(mv, removed=new_curve[mv["removed"]], added=new_curve[mv["added"]])
+        if mv.get("pairing") is not None:
+            move["pairing"] = [[cuff(c) for c in side] for side in mv["pairing"]]
+        moves.append(move)
+    copy = json.loads(json.dumps(doc))
+    copy["monodromy"]["pants_path"] = {
+        "start": {
+            "pants": [new_pants[p] for p in start["pants"]],
+            "edges": {new_curve[c]: [cuff(end) for end in ends]
+                      for c, ends in start["edges"].items()},
+            "legs": {label: cuff(c) for label, c in start["legs"].items()},
+        },
+        "moves": moves,
+        "closure": {new_curve[c]: new_curve[d] for c, d in path["closure"].items()},
+    }
+    return copy
+
+
+def certify_summary(spec: str) -> tuple:
+    """What ``certify`` decides about ``spec``, with every id-bearing text left out."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["certify", spec])
+    report = json.loads(stdout.getvalue())
+    essentiality = report.get("essentiality") or {"conditions": [], "verdict": None}
+    return (
+        code,
+        report.get("certificate"),
+        report.get("inventory"),
+        essentiality["verdict"],
+        [c["status"] for c in essentiality["conditions"]],
+        [issue["code"] for issue in report["validation"]],
+    )
+
+
+def test_renaming_pants_and_curve_ids_keeps_the_certificate(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(SEED)
+    compared = 0
+    for name in write_corpus(tmp_path):
+        try:
+            doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        except ValueError:
+            continue
+        if "pants_path" not in doc.get("monodromy", {}):
+            continue
+        (tmp_path / "renamed.json").write_text(json.dumps(renamed(doc, rng)), encoding="utf-8")
+        assert certify_summary("renamed.json") == certify_summary(name), name
+        compared += 1
+    assert compared == 101

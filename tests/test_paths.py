@@ -427,6 +427,15 @@ def test_search_surface_mismatch_rejected():
         search_path(a, b, budget=10)
 
 
+@pytest.mark.parametrize("budget", [True, 2.5, "3", 0, -1], ids=repr)
+def test_search_budget_must_be_a_positive_int(budget):
+    # A bool compares like 0 or 1 and a float like a count, but neither is a
+    # number of nodes; a string does not compare with one at all.
+    a, b = two_leg_groupings_f05()
+    with pytest.raises(TribranchError, match="budget must be a positive integer"):
+        search_path(a, b, budget=budget)
+
+
 def test_search_is_deterministic():
     a, b = two_leg_groupings_f05()
     p1 = search_path(a, b, budget=1000)
