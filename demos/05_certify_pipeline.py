@@ -46,8 +46,9 @@ for g, b, name in [(0, 5, "rank-four planar book"),
     print(" ", cert.statement)
     tc = construct_outer(validate_spec(spec))
     print("  inventory:", tc.inventory())
-    print("  local models:", check_local_models(tc).summary())
-    report = check_essential(tc, cert)
+    local = check_local_models(tc)
+    print("  local models:", local.summary())
+    report = check_essential(tc, cert, local)
     for cond in report.conditions:
         print(f"  condition ({cond.number}) [{cond.status}] {cond.witness}")
     for note in report.notes:

@@ -173,7 +173,7 @@ def cmd_certify(args) -> int:
     if not local.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"local models dirty: {local.summary()}"])
-    essentiality = check_essential(tc, cert)
+    essentiality = check_essential(tc, cert, local)
     lap("essentiality")
     inventory = report["inventory"] = tc.inventory()
     report["complex_sha256"] = sha256_hex(complex_json(tc, inventory).encode("utf-8"))

@@ -9,7 +9,12 @@ A tribranched surface is essential when
   (4) no block's inclusion into the ambient manifold is surjective on the
       fundamental group.
 
-Conditions (1) is decided outright.  Conditions (2) and (3) are certified
+Each condition has its function: :func:`no_disc_branch` (1),
+:func:`no_component_in_ball` (2), :func:`pi1_injective` (3) and
+:func:`no_block_surjects` (4); :func:`check_essential` runs the four on a
+complex whose local models are clean.
+
+Condition (1) is decided outright.  Conditions (2) and (3) are certified
 structurally: the built-in constructions produce only incidences whose
 injectivity is guaranteed by how the pieces sit in the product and solid
 torus blocks, and a connected complex with a page-derived branch of negative
@@ -39,10 +44,10 @@ from .complexes import (
     SOLID_TORUS,
     TORUS_ANNULUS,
     TribranchedComplex,
-    check_local_models,
 )
 from .errors import TribranchError
 from .openbook import CERTIFIED, RankCertificate
+from .reports import ValidationReport
 from .surfaces import SurfaceSig
 
 PASS = "Pass"
@@ -127,33 +132,19 @@ class EssentialityReport(namedtuple("EssentialityReport", "conditions notes")):
         }
 
 
-def check_essential(tc: TribranchedComplex, cert: RankCertificate) -> EssentialityReport:
-    """Evaluate the four essentiality conditions for a complex.
-
-    Requires clean local models (three germs per circle and consistent
-    incidences); a dirty complex is rejected outright.
-    """
-    local = check_local_models(tc)
-    if not local.ok:
-        raise TribranchError(f"dirty local models: {local.summary()}")
-
-    conditions = []
-    notes = []
-
-    # (1) No branch is a disc.
+def no_disc_branch(tc: TribranchedComplex) -> ConditionResult:
+    """Condition (1), decided outright: no branch is a disc."""
     discs = [b.id for b in tc.branches if b.sig == DISC]
     if discs:
-        conditions.append(
-            ConditionResult(1, FAIL, f"disc branches: {', '.join(sorted(discs))}")
-        )
-    else:
-        conditions.append(
-            ConditionResult(1, PASS, f"none of the {len(tc.branches)} branches is a disc")
-        )
+        return ConditionResult(1, FAIL, f"disc branches: {', '.join(sorted(discs))}")
+    return ConditionResult(1, PASS, f"none of the {len(tc.branches)} branches is a disc")
 
-    # (2) No component in a ball: certified structurally by connectivity plus
-    # a page-derived branch of negative Euler characteristic.
-    connected = tc.is_connected()
+
+def no_component_in_ball(tc: TribranchedComplex) -> ConditionResult:
+    """Condition (2), certified structurally by connectivity plus a
+    page-derived branch of negative Euler characteristic."""
+    if not tc.is_connected():
+        return ConditionResult(2, NOT_CERTIFIED, "complex is disconnected")
     anchor = next(
         (
             b.id
@@ -162,82 +153,87 @@ def check_essential(tc: TribranchedComplex, cert: RankCertificate) -> Essentiali
         ),
         None,
     )
-    if connected and anchor is not None:
-        conditions.append(
-            ConditionResult(
-                2,
-                STRUCTURAL_PASS,
-                f"complex is connected and contains the page-derived branch "
-                f"{anchor} with negative Euler characteristic",
-            )
+    if anchor is None:
+        return ConditionResult(
+            2, NOT_CERTIFIED, "no page-derived branch of negative Euler characteristic"
         )
-    else:
-        reason = "complex is disconnected" if not connected else (
-            "no page-derived branch of negative Euler characteristic"
-        )
-        conditions.append(ConditionResult(2, NOT_CERTIFIED, reason))
+    return ConditionResult(
+        2,
+        STRUCTURAL_PASS,
+        f"complex is connected and contains the page-derived branch "
+        f"{anchor} with negative Euler characteristic",
+    )
 
-    # (3) pi_1-injectivity via the construction whitelist.
+
+def pi1_injective(tc: TribranchedComplex) -> ConditionResult:
+    """Condition (3), certified structurally: every branch-block incidence
+    is on :data:`PI1_INJECTIVE_WHITELIST`."""
     blocks = {b.id: b for b in tc.blocks}
-    offending = []
-    for branch in tc.branches:
-        for block_id in tc.sides[branch.id]:
-            pair = (branch.taxonomy, blocks[block_id].kind)
-            if pair not in PI1_INJECTIVE_WHITELIST:
-                offending.append((branch.id, block_id))
+    offending = [
+        (branch.id, block_id)
+        for branch in tc.branches
+        for block_id in tc.sides[branch.id]
+        if (branch.taxonomy, blocks[block_id].kind) not in PI1_INJECTIVE_WHITELIST
+    ]
     if offending:
         first = offending[0]
-        conditions.append(
-            ConditionResult(
-                3,
-                NOT_CERTIFIED,
-                f"{len(offending)} incidence(s) outside the certified patterns, "
-                f"first: branch {first[0]} in block {first[1]}",
-            )
+        return ConditionResult(
+            3,
+            NOT_CERTIFIED,
+            f"{len(offending)} incidence(s) outside the certified patterns, "
+            f"first: branch {first[0]} in block {first[1]}",
         )
-    else:
-        conditions.append(
-            ConditionResult(
-                3,
-                STRUCTURAL_PASS,
-                "every branch-block incidence matches a construction-certified "
-                "pi_1-injective pattern",
-            )
-        )
+    return ConditionResult(
+        3,
+        STRUCTURAL_PASS,
+        "every branch-block incidence matches a construction-certified "
+        "pi_1-injective pattern",
+    )
 
-    # (4) No block surjects: small block ranks plus the rank certificate.
+
+def no_block_surjects(tc: TribranchedComplex, cert: RankCertificate) -> ConditionResult:
+    """Condition (4): every block needs at most :data:`MAX_BLOCK_RANK`
+    generators and the rank certificate establishes rank pi_1(M) >= 4."""
     oversized = [b.id for b in tc.blocks if b.pi1_rank_bound > MAX_BLOCK_RANK]
     if oversized:
-        conditions.append(
-            ConditionResult(
-                4,
-                NOT_CERTIFIED,
-                "blocks with fundamental group rank bound above "
-                f"{MAX_BLOCK_RANK}: {', '.join(sorted(oversized))}",
-            )
+        return ConditionResult(
+            4,
+            NOT_CERTIFIED,
+            "blocks with fundamental group rank bound above "
+            f"{MAX_BLOCK_RANK}: {', '.join(sorted(oversized))}",
         )
-    elif cert.verdict != CERTIFIED:
-        conditions.append(
-            ConditionResult(
-                4,
-                NOT_CERTIFIED,
-                f"rank certificate is {cert.verdict} (lower bound "
-                f"{cert.lower_bound} < 4): hypothesis not established, "
-                "not asserted false",
-            )
+    if cert.verdict != CERTIFIED:
+        return ConditionResult(
+            4,
+            NOT_CERTIFIED,
+            f"rank certificate is {cert.verdict} (lower bound "
+            f"{cert.lower_bound} < 4): hypothesis not established, "
+            "not asserted false",
         )
-    else:
-        max_rank = max((b.pi1_rank_bound for b in tc.blocks), default=0)
-        conditions.append(
-            ConditionResult(
-                4,
-                PASS,
-                f"every block needs at most {max_rank} <= {MAX_BLOCK_RANK} "
-                f"generators while rank pi_1(M) >= {cert.lower_bound} >= 4",
-            )
-        )
+    max_rank = max((b.pi1_rank_bound for b in tc.blocks), default=0)
+    return ConditionResult(
+        4,
+        PASS,
+        f"every block needs at most {max_rank} <= {MAX_BLOCK_RANK} "
+        f"generators while rank pi_1(M) >= {cert.lower_bound} >= 4",
+    )
 
-    if conditions[1].status == STRUCTURAL_PASS:
+
+def check_essential(tc: TribranchedComplex, cert: RankCertificate,
+                    local: ValidationReport) -> EssentialityReport:
+    """Evaluate the four essentiality conditions for a complex.
+
+    ``local`` is :func:`~tribranch.complexes.check_local_models` of ``tc``.
+    The conditions require clean local models (three germs per circle and
+    consistent incidences), so a dirty report is rejected outright.
+    """
+    if not local.ok:
+        raise TribranchError(f"dirty local models: {local.summary()}")
+    in_ball = no_component_in_ball(tc)
+    conditions = [no_disc_branch(tc), in_ball, pi1_injective(tc),
+                  no_block_surjects(tc, cert)]
+    notes = []
+    if in_ball.status == STRUCTURAL_PASS:
         notes.append(
             "condition (2) is certified by this tool's structural reading: "
             "a connected complex with a page-derived branch of negative "

@@ -373,7 +373,7 @@ def test_homology_computes_h1_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("verb, monodromy_checks, local_model_checks", [
-    ("certify", 2, 2),
+    ("certify", 2, 1),
     ("construct", 1, 0),
 ])
 def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_checks,

@@ -1,4 +1,4 @@
-"""Relations that must hold between two ``certify`` runs.
+"""Relations that must hold between the certificates of two open books.
 
 A certificate pinned by the golden digests is checked only against its own
 earlier bytes.  A relation between two runs has no such blind spot.
@@ -11,6 +11,11 @@ not change.  Curve ids are renamed in a shuffled order.  Pants ids keep
 their order: ``apply_move`` hands the re-paired cuffs to the support pants
 by id order, so after a reordering a later move's pairing would address
 other cuffs, and the renamed spec would describe another path.
+
+Stabilization: a positive Hopf stabilization of an open book gives the same
+manifold, and ``stabilize(..., extend_path=True)`` carries the pants path
+along.  So H_1, the rank bound, the verdict and the four condition statuses
+must not change, at every boundary site of every seeded spec.
 """
 
 from __future__ import annotations
@@ -20,7 +25,16 @@ import io
 import json
 import random
 
+from genutils import random_outer_spec
 from test_golden_reports import write_corpus
+from tribranch import (
+    check_essential,
+    check_local_models,
+    construct_outer,
+    rank_certificate,
+    stabilize,
+    validate_spec,
+)
 from tribranch.cli import main
 
 SEED = 20261020
@@ -96,3 +110,27 @@ def test_renaming_pants_and_curve_ids_keeps_the_certificate(tmp_path, monkeypatc
         assert certify_summary("renamed.json") == certify_summary(name), name
         compared += 1
     assert compared == 101
+
+
+def library_summary(spec) -> tuple:
+    """H_1, the rank bound, the verdict and the condition statuses of ``spec``."""
+    cert = rank_certificate(spec)
+    tc = construct_outer(validate_spec(spec))
+    report = check_essential(tc, cert, check_local_models(tc))
+    return cert.h1, cert.lower_bound, report.verdict, [c.status for c in report.conditions]
+
+
+def test_stabilization_keeps_the_certificate():
+    rng = random.Random(SEED)
+    compared = 0
+    verdicts = set()
+    for _ in range(100):
+        spec = random_outer_spec(rng)
+        before = library_summary(spec)
+        verdicts.add(before[2])
+        for site in range(1, spec.page.n_boundary + 1):
+            stabilized = stabilize(spec, site, extend_path=True).spec
+            assert library_summary(stabilized) == before, (spec, site)
+            compared += 1
+    assert compared == 276
+    assert verdicts == {"Essential", "NotEstablished"}

@@ -21,6 +21,7 @@ from tribranch import (
     TribranchError,
     TribranchedComplex,
     check_essential,
+    check_local_models,
     construct_outer,
     euler_audit,
     rank_certificate,
@@ -41,7 +42,7 @@ def _records() -> list:
     checked = validate_spec(spec)
     tc = construct_outer(checked)
     cert = rank_certificate(spec)
-    essential = check_essential(tc, cert)
+    essential = check_essential(tc, cert, check_local_models(tc))
     path = spec.pants_path
     start = path.start
     return [

@@ -11,6 +11,7 @@ from tribranch import (
     SchemaError,
     SurfaceSig,
     check_essential,
+    check_local_models,
     construct_outer,
     h1_open_book,
     rank_certificate,
@@ -110,19 +111,19 @@ def test_stabilized_spec_certifies_end_to_end():
     cert = rank_certificate(res.spec)
     assert cert.verdict == "Certified" and cert.lower_bound == 4
     tc = construct_outer(validate_spec(res.spec))
-    report = check_essential(tc, cert)
+    report = check_essential(tc, cert, check_local_models(tc))
     assert report.verdict == "Essential"
     # And once more on top.
     res2 = stabilize(res.spec, site=res.spec.page.n_boundary, extend_path=True)
     cert2 = rank_certificate(res2.spec)
     tc2 = construct_outer(validate_spec(res2.spec))
-    assert check_essential(tc2, cert2).verdict == "Essential"
+    assert check_essential(tc2, cert2, check_local_models(tc2)).verdict == "Essential"
 
 
 def test_curve_permuting_closure_construction():
     # A monodromy that swaps the two parallel curves of this decomposition:
     # the wrap transports page pieces through the closure's vertex map.
-    from tribranch import PantsDecomposition, check_local_models, euler_audit, validate_pants
+    from tribranch import PantsDecomposition, euler_audit, validate_pants
 
     sig = SurfaceSig(1, 2)
     pd = PantsDecomposition.build(
