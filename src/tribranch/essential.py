@@ -167,14 +167,22 @@ def no_component_in_ball(tc: TribranchedComplex) -> ConditionResult:
 
 def pi1_injective(tc: TribranchedComplex) -> ConditionResult:
     """Condition (3), certified structurally: every branch-block incidence
-    is on :data:`PI1_INJECTIVE_WHITELIST`."""
-    blocks = {b.id: b for b in tc.blocks}
-    offending = [
-        (branch.id, block_id)
-        for branch in tc.branches
-        for block_id in tc.sides[branch.id]
-        if (branch.taxonomy, blocks[block_id].kind) not in PI1_INJECTIVE_WHITELIST
-    ]
+    is on :data:`PI1_INJECTIVE_WHITELIST`.
+
+    Raises :class:`TribranchError` on a branch with no side assignment or
+    one facing an unknown block, which dirty local models allow.
+    """
+    kinds = {b.id: b.kind for b in tc.blocks}
+    offending = []
+    for branch in tc.branches:
+        if branch.id not in tc.sides:
+            raise TribranchError(f"branch {branch.id} has no block assignment")
+        for block_id in tc.sides[branch.id]:
+            if block_id not in kinds:
+                raise TribranchError(
+                    f"branch {branch.id} assigned to unknown block {block_id}")
+            if (branch.taxonomy, kinds[block_id]) not in PI1_INJECTIVE_WHITELIST:
+                offending.append((branch.id, block_id))
     if offending:
         first = offending[0]
         return ConditionResult(

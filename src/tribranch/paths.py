@@ -31,6 +31,12 @@ candidates it generates.  A node's candidates are the two genuine
 re-pairings of each of its non-loop curves: an S-move, or an A-move that
 keeps the original grouping, only renames the curve and permutes slots on
 its support pants, so it never leaves the node's class.
+
+Every A-move ends in one application step, which places the two groups of
+a re-pairing on the support pants.  :func:`apply_move` checks a move before
+that step; the search hands its candidates to the step directly, since
+:func:`enumerate_pairings` builds them legal, so a candidate costs no move
+check, only the rebuilt ``edges`` and ``legs``.
 """
 
 from __future__ import annotations
@@ -148,7 +154,9 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
     With no pairing, an A-move keeps the original grouping.  Raises
     :class:`MoveError` on an unknown curve, a clashing fresh id, a kind
     inconsistent with the support, a pairing on an S-move or an illegal
-    re-pairing.
+    re-pairing.  A checked A-move goes to the step :func:`search_path` also
+    uses, with its groups sorted, so a pairing's result does not depend on
+    the order in which its cuffs are written.
     """
     actual = move_kind(pd, mv.removed)
     if mv.added in pd.edges:
@@ -167,7 +175,6 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
         edges[mv.added] = ends
         return PantsDecomposition(pants=pd.pants, edges=edges, legs=dict(pd.legs))
 
-    (u, _), (v, _) = pd.edges[mv.removed]
     if mv.pairing is None:
         pairing = enumerate_pairings(pd, mv.removed)[0]
     else:
@@ -189,26 +196,31 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
                 "re-pairing must split the support cuffs two-and-two; a curve "
                 "in a four-holed sphere separates its boundary two against two"
             )
+        pairing = sorted(tuple(sorted(side)) for side in pairing)
+    return _apply_repairing(pd, mv.removed, mv.added, pairing)
 
+
+def _apply_repairing(pd, removed, added, pairing) -> PantsDecomposition:
+    """Replace non-loop curve ``removed`` by ``added`` under a legal re-pairing.
+
+    The shared step of every A-move, with no checks of its own: ``pairing``
+    must split exactly the support cuffs of ``removed`` two-and-two, each
+    group in sorted order and the group holding the smallest cuff first (the
+    form :func:`enumerate_pairings` gives), and ``added`` must be a curve id
+    absent from ``pd``.  :func:`apply_move` establishes this for any move;
+    :func:`search_path` holds it by construction.
+    """
     # The two support pants keep their ids; the group containing the
     # smallest cuff goes to the smaller pants id.  Slot 1 of each new pants
     # carries the fresh curve, slots 2 and 3 its two cuffs in sorted order.
-    new_a, new_b = sorted((u, v))
-    groups = sorted(tuple(sorted(side)) for side in pairing)
-    placement = {}
-    for pants_id, group in zip((new_a, new_b), groups):
-        for slot, cuff in zip((2, 3), group):
-            placement[cuff] = (pants_id, slot)
-
-    edges = {}
-    for curve in pd.edges:
-        if curve == mv.removed:
-            continue
-        edges[curve] = tuple(placement.get(end, end) for end in pd.edges[curve])
-    edges[mv.added] = ((new_a, 1), (new_b, 1))
-    legs = {}
-    for label, cuff in pd.legs.items():
-        legs[label] = placement.get(cuff, cuff)
+    (u, _), (v, _) = pd.edges[removed]
+    new_a, new_b = (u, v) if u < v else (v, u)
+    (c1, c2), (c3, c4) = pairing
+    placement = {c1: (new_a, 2), c2: (new_a, 3), c3: (new_b, 2), c4: (new_b, 3)}
+    edges = {curve: (placement.get(a, a), placement.get(b, b))
+             for curve, (a, b) in pd.edges.items() if curve != removed}
+    edges[added] = ((new_a, 1), (new_b, 1))
+    legs = {label: placement.get(cuff, cuff) for label, cuff in pd.legs.items()}
     # Two-and-two keeps the graph connected: the two new pants are joined by
     # the fresh curve and keep all four support cuffs between them.
     return PantsDecomposition(pants=pd.pants, edges=edges, legs=legs)
@@ -358,7 +370,9 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     (indices 1 and 2 of :func:`enumerate_pairings`), curve ids in sorted
     order.  S-moves and index 0 are skipped: they land in the class of the
     node being expanded, which is already seen, so expanding them would
-    change neither the moves, nor the fresh ids, nor the closure.  At most
+    change neither the moves, nor the fresh ids, nor the closure.  The
+    candidates skip :func:`apply_move`'s checks, which they pass by
+    construction, and give the decomposition it would.  At most
     ``budget`` nodes are expanded; exhaustion returns ``None`` (not an
     error); a budget that is not a positive ``int`` (a ``bool``, a float,
     a string) is a :class:`TribranchError`.  On success the returned path
@@ -407,7 +421,12 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
                 continue
             for pairing in enumerate_pairings(pd, curve)[1:]:
                 mv = PantsMove(curve, fresh, A_MOVE, pairing)
-                nxt = apply_move(pd, mv)
+                # apply_move's checks hold by construction: the curve is no
+                # self-loop, so the move is an A-move; enumerate_pairings
+                # splits exactly its support cuffs two-and-two, in sorted
+                # groups; the fresh id skips the start's curves and every id
+                # already used, so no queued decomposition carries it.
+                nxt = _apply_repairing(pd, curve, fresh, pairing)
                 key = canonical_key(nxt)
                 if key in seen:
                     continue

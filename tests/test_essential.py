@@ -273,6 +273,23 @@ def test_condition_three_each_branch():
     assert essentiality(tc, CERT4).condition(3).status == NOT_CERTIFIED
 
 
+def test_condition_three_rejects_dirty_sides():
+    # A TribranchError naming the branch or block, not a bare KeyError; a
+    # raise, so it holds under python -O too.
+    block = product_block("blk", SurfaceSig(0, 3))
+    unassigned = theta("p", SurfaceSig(0, 3), PANTS_PIECE, [block])._replace(
+        sides={"p0": ("blk", "blk"), "p1": ("blk", "blk")})
+    assert not check_local_models(unassigned).ok
+    with pytest.raises(TribranchError, match="^branch p2 has no block assignment$"):
+        pi1_injective(unassigned)
+    unknown = theta("p", SurfaceSig(0, 3), PANTS_PIECE, [block])._replace(
+        sides={"p0": ("blk", "blk"), "p1": ("blk", "gone"), "p2": ("blk", "blk")})
+    assert not check_local_models(unknown).ok
+    with pytest.raises(TribranchError,
+                       match="^branch p1 assigned to unknown block gone$"):
+        pi1_injective(unknown)
+
+
 def test_condition_four_each_branch():
     assert no_block_surjects(PANTS_THETA, CERT4) == (
         4, PASS,

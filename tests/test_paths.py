@@ -560,26 +560,35 @@ def test_search_matches_the_all_moves_oracle():
 
 def test_search_applies_only_the_genuine_repairings(monkeypatch):
     """Every expanded node applies re-pairings 1 and 2 of each non-loop curve,
-    in order, and nothing else; the last node may stop at the target."""
+    in order, and nothing else; the last node may stop at the target.  Every
+    A-move, with or without apply_move's checks, ends in
+    ``paths._apply_repairing``, so the spy sits there; a second spy on
+    ``paths.apply_move`` sees any S-move."""
     applied = []
+    real_step = paths._apply_repairing
     real_apply_move = paths.apply_move
 
-    def spy(pd, mv):
+    def spy(pd, removed, added, pairing):
+        assert not pd.is_self_loop(removed), "the search applied an S-move"
+        applied.append((pd, removed, pairing))
+        return real_step(pd, removed, added, pairing)
+
+    def no_s_move(pd, mv):
         assert mv.kind != S_MOVE, "the search applied an S-move"
-        applied.append((pd, mv))
         return real_apply_move(pd, mv)
 
-    monkeypatch.setattr(paths, "apply_move", spy)
+    monkeypatch.setattr(paths, "_apply_repairing", spy)
+    monkeypatch.setattr(paths, "apply_move", no_s_move)
     n_loops = 0
     for start, target in search_cases():
         applied.clear()
         result = search_path(start, target, budget=10_000)
         assert result is not None
         groups = []
-        for pd, mv in applied:
+        for pd, removed, pairing in applied:
             if not groups or groups[-1][0] is not pd:
                 groups.append((pd, []))
-            groups[-1][1].append((mv.removed, mv.pairing))
+            groups[-1][1].append((removed, pairing))
         for i, (pd, got) in enumerate(groups):
             n_loops += sum(pd.is_self_loop(c) for c in pd.edges)
             want = [(c, p) for c in pd.curve_ids() if not pd.is_self_loop(c)
@@ -588,3 +597,42 @@ def test_search_applies_only_the_genuine_repairings(monkeypatch):
                 want = want[:len(got)]
             assert got == want
     assert n_loops > 0
+
+
+def test_search_candidates_equal_checked_moves(monkeypatch):
+    """Each candidate the search applies without apply_move's checks is what
+    apply_move gives for the same move, however the pairing is written, and
+    a valid decomposition whose fresh id no expanded node carries."""
+    rng = random.Random(59)
+    calls = []
+    real_step = paths._apply_repairing
+
+    def spy(pd, removed, added, pairing):
+        out = real_step(pd, removed, added, pairing)
+        calls.append((pd, removed, added, pairing, out))
+        return out
+
+    checked = 0
+    for _ in range(150):
+        sig = random_page(rng, g_max=2, b_max=5)
+        start = random_decomposition(sig, rng, scramble=rng.randint(0, 4))
+        target = random_decomposition(sig, rng, scramble=rng.randint(1, 4))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(paths, "_apply_repairing", spy)
+            search_path(start, target, budget=rng.randint(1, 5))
+        expanded_ids = set()
+        for pd, removed, added, pairing, out in calls:
+            expanded_ids |= pd.edges.keys()
+            assert added not in pd.edges
+            assert added not in expanded_ids
+            want = apply_move(pd, PantsMove(removed, added, A_MOVE, pairing))
+            assert out == want
+            assert list(out.edges.items()) == list(want.edges.items())
+            assert list(out.legs.items()) == list(want.legs.items())
+            (a, b), (c, d) = pairing
+            reordered = PantsMove(removed, added, A_MOVE, [[d, c], [b, a]])
+            assert apply_move(pd, reordered) == out
+            assert validate_pants(sig, out).ok
+            checked += 1
+    assert checked > 1000
