@@ -62,9 +62,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        # Shaped directly: from_rows would read an r x 0 matrix's transpose as 0 x 0.
+        return IntMatrix(self.cols, self.rows, tuple(
+            [tuple([row[j] for row in self.entries]) for j in range(self.cols)]))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -205,7 +205,9 @@ class CheckedSpec(namedtuple("CheckedSpec", "spec report decomps closure_map",
 def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
     """Validate the page, monodromy, winding shape and (if present) the path.
 
-    The result keeps the path replay, which :func:`construct_outer` builds on.
+    The path check validates the start decomposition; the intermediate ones
+    stand on :func:`apply_move`'s checks (see :func:`check_path`).  The
+    result keeps the path replay, which :func:`construct_outer` builds on.
     """
     report = ValidationReport()
     if spec.page.n_boundary < 1:
@@ -224,16 +226,13 @@ def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
             )
     decomps = closure_map = None
     if spec.pants_path is not None:
-        try:
-            path_sig = spec.pants_path.start.surface_sig()
-        except TribranchError:
-            path_sig = None  # the path check reports a start that spans no surface
+        path_report, path_sig, decomps, closure_map = check_path(spec.pants_path)
+        # A start that spans no surface (path_sig None) is in the path report.
         if path_sig not in (None, spec.page):
             report.add(
                 "path-page",
                 f"pants path lives on {path_sig}, spec page is {spec.page}",
             )
-        path_report, decomps, closure_map = check_path(spec.pants_path)
         for issue in path_report.entries:
             report.add(issue.code, issue.message, f"pants_path {issue.where}".strip())
     return CheckedSpec(spec, report, decomps, closure_map)

@@ -288,15 +288,18 @@ def validate_path(path: PantsPath) -> ValidationReport:
 
 
 def check_path(path: PantsPath):
-    """Check every path invariant; return ``(report, decomps, closure_map)``.
+    """Check every path invariant; return ``(report, sig, decomps, closure_map)``.
 
-    Checks, in order: the start decomposition spans a surface and is valid;
-    every move applies and every intermediate decomposition is valid; the
-    closure is a curve bijection from C_n onto C_0 extending to a
-    decorated-graph isomorphism that respects leg labels.  Failures carry
-    their step index.  ``decomps`` are the replayed C_0, ..., C_n, cut short
-    at a failing move; ``closure_map`` is the closure's vertex map
-    C_n -> C_0, or None when the closure was not checked or does not extend.
+    Checks, in order: the start spans a surface and passes
+    :func:`validate_pants`; every move passes :func:`apply_move`'s checks,
+    which take a valid decomposition to a valid one of the same surface, so
+    no intermediate decomposition is validated again; the closure is a curve
+    bijection from C_n onto C_0 extending to a decorated-graph isomorphism
+    that respects leg labels.  Failures carry their step index.  ``sig`` is
+    the start's :class:`SurfaceSig` (None when it spans no surface),
+    ``decomps`` the replayed C_0, ..., C_n, cut short at a failing move, and
+    ``closure_map`` the closure's vertex map C_n -> C_0, or None when the
+    closure was not checked or does not extend.
     """
     report = ValidationReport()
     decomps = [path.start]
@@ -306,22 +309,18 @@ def check_path(path: PantsPath):
         # Fewer than V - 1 curves: the pants graph cannot even be connected.
         report.add("start-invalid", f"start decomposition spans no surface: {err}; "
                    "replay skipped", "step 0")
-        return report, decomps, None
+        return report, None, decomps, None
     report.extend(validate_pants(sig, path.start))
     if not report.ok:
         report.add("start-invalid", "start decomposition invalid; replay skipped", "step 0")
-        return report, decomps, None
+        return report, sig, decomps, None
 
     for k, mv in enumerate(path.moves):
         try:
-            nxt = apply_move(decomps[-1], mv)
+            decomps.append(apply_move(decomps[-1], mv))
         except MoveError as err:
             report.add("move-failed", str(err), f"step {k}")
-            return report, decomps, None
-        step_report = validate_pants(sig, nxt)
-        for issue in step_report.entries:
-            report.add(issue.code, issue.message, f"step {k}")
-        decomps.append(nxt)
+            return report, sig, decomps, None
 
     final = decomps[-1]
     closure = dict(path.closure)
@@ -329,12 +328,12 @@ def check_path(path: PantsPath):
         report.add("closure-domain",
                    "closure keys differ from the curves of the final system",
                    "closure")
-        return report, decomps, None
+        return report, sig, decomps, None
     if sorted(closure.values()) != sorted(path.start.edges):
         report.add("closure-range",
                    "closure values differ from the curves of the start system",
                    "closure")
-        return report, decomps, None
+        return report, sig, decomps, None
     closure_map = closure_vertex_map(path, decomps)
     if closure_map is None:
         # Distinguish the common leg-adjacency mistake for a sharper message.
@@ -346,7 +345,7 @@ def check_path(path: PantsPath):
                 "closure does not extend to a decorated-graph isomorphism",
                 "closure",
             )
-    return report, decomps, closure_map
+    return report, sig, decomps, closure_map
 
 
 def _breaks_leg_adjacency(final, start, closure) -> bool:

@@ -10,7 +10,7 @@ import pytest
 import tribranch
 from genutils import random_outer_spec
 from tribranch.cli import main
-from tribranch.schema import canonical_json, spec_to_json
+from tribranch.schema import canonical_json, parse_spec, spec_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,6 +110,23 @@ def test_construct_naive_rejects_disc(tmp_path, capsys):
                          "--out", tmp_path / "cx.json")
     assert code == 1
     assert "chi" in report_of(out)["error"]
+
+
+def test_disc_page_takes_one_empty_winding_row(tmp_path, capsys):
+    # F(0,1) has rank 0: one winding row, for its one circle, of length 0.
+    doc = {"page": {"genus": 0, "boundary": 1},
+           "monodromy": {"h1_matrix": [], "boundary_windings": [[]]}}
+    spec_file = tmp_path / "disc.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", spec_file)
+    assert code == 0 and report_of(out)["validation"] == []
+    code, out, _ = run(capsys, "homology", spec_file)
+    assert code == 0
+    assert report_of(out)["homology"]["h1"] == {"free_rank": 0, "torsion": [],
+                                                "invariant_factors": []}
+    spec = parse_spec(doc)
+    assert spec_to_json(spec)["monodromy"]["boundary_windings"] == [[]]
+    assert parse_spec(spec_to_json(spec)) == spec
 
 
 def test_construct_naive_ignores_the_pants_path(tmp_path, capsys):
@@ -340,6 +357,17 @@ def test_torsion_too_long_to_print_is_a_domain_failure(tmp_path):
         assert "digits" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["certify", FIXTURES / "f05_identity.json", "--report"], "report"),
+    (["construct", FIXTURES / "f04_identity.json", "--mode", "outer", "--out"], "complex"),
+], ids=["certify-report", "construct-out"])
+def test_unwritable_output_is_a_schema_failure(argv, what, tmp_path):
+    proc = _run_cli(*argv, tmp_path / "missing" / "out.json", "--quiet")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"cannot write {what}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _count_calls(monkeypatch, *names):
     """Count the calls of the package functions ``module.function`` in ``names``.
 
@@ -412,7 +440,8 @@ def test_one_validation_pass_per_command(verb, monodromy_checks, local_model_che
         "validate_spec": 1,
         "validate_monodromy": monodromy_checks,
         "apply_move": n_moves,
-        "validate_pants": n_moves + 1,
+        # The start only: each move stands on apply_move's checks.
+        "validate_pants": 1,
         "vertex_map_from_curve_bijection": 1,
         "check_local_models": local_model_checks,
         # Once, for the report and the complex's bytes.

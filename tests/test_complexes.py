@@ -31,6 +31,8 @@ from tribranch import (
 )
 
 from genutils import make_rng, random_monodromy, random_outer_spec, random_page
+from test_essential import theta
+from tribranch.complexes import product_block
 from tribranch.schema import complex_json
 
 
@@ -370,6 +372,56 @@ def test_local_models_side_count_must_be_two():
     )
     report = check_local_models(tc)
     assert "sides-count" in report.codes()
+
+
+BLK = product_block("blk", SurfaceSig(0, 3))
+
+
+def _misplaced_germ(tc):
+    first, *rest = tc.circles
+    germs = ((first.germs[0][0], "s9"),) + first.germs[1:]
+    return tc._replace(circles=(first._replace(germs=germs), *rest))
+
+
+def _extra_slot(tc):
+    first, *rest = tc.branches
+    return tc._replace(branches=(first._replace(slots=first.slots + ("s3",)), *rest))
+
+
+@pytest.mark.parametrize("tamper, codes", [
+    # The slot the germ should name is then matched by no circle.
+    (_misplaced_germ, ["germ-slot", "slot-unmatched"]),
+    (_extra_slot, ["slot-unmatched"]),
+    (lambda tc: tc._replace(sides={**tc.sides, "ghost": ("blk", "blk")}), ["sides-branch"]),
+], ids=["germ-slot", "slot-unmatched", "sides-branch"])
+def test_local_models_report_each_fault(tamper, codes):
+    tc = theta("p", SurfaceSig(0, 3), PANTS_PIECE, [BLK])
+    assert check_local_models(tc).ok
+    assert check_local_models(tamper(tc)).codes() == codes
+
+
+def _levelled(tc, levels):
+    return tc._replace(branches=tuple(b._replace(level=k) for b, k in zip(tc.branches, levels)))
+
+
+@pytest.mark.parametrize("tc, meta, codes", [
+    # Pants filed as annuli.
+    (theta("a", SurfaceSig(0, 3), TORUS_ANNULUS, [BLK]), {}, ["annulus-chi"] * 3),
+    # Three pants as the pages of F(0,4): 3 chi(page) is off as well.
+    (theta("n", SurfaceSig(0, 3), NAIVE_PAGE, [BLK]),
+     {"construction": "naive", "page": SurfaceSig(0, 4)},
+     ["naive-branch-chi"] * 3 + ["chi-mismatch"]),
+    # Pants at levels 0, 0 and 2 of three: levels 0 and 1 are off, the sum is not.
+    (_levelled(theta("p", SurfaceSig(0, 3), PANTS_PIECE, [BLK]), (0, 0, 2)),
+     {"construction": "outer", "page": SurfaceSig(0, 3), "levels": 3},
+     ["level-chi"] * 2),
+    # No levels, so no page pieces to sum, but branches of chi -1.
+    (theta("n", SurfaceSig(0, 3), NAIVE_PAGE, [BLK]),
+     {"construction": "outer", "page": SurfaceSig(0, 3), "levels": 0},
+     ["chi-mismatch"]),
+], ids=["annulus-chi", "naive-branch-chi", "level-chi", "chi-mismatch"])
+def test_euler_audit_reports_each_fault(tc, meta, codes):
+    assert euler_audit(tc._replace(meta=meta)).report.codes() == codes
 
 
 def test_complex_serialization_shape():

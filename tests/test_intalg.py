@@ -234,6 +234,15 @@ def test_matrix_shape_validation():
         IntMatrix.from_rows([[1, 2], [3, 4]]).mul(IntMatrix.identity(3))
 
 
+def test_transpose_keeps_empty_shapes():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 0), (0, 1)):
+        t = IntMatrix.zeros(rows, cols).transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.transpose() == IntMatrix.zeros(rows, cols)
+    a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert a.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
+
+
 def test_determinant_bareiss():
     assert IntMatrix.identity(3).det() == 1
     assert IntMatrix(0, 0, ()).det() == 1

@@ -15,7 +15,8 @@ other cuffs, and the renamed spec would describe another path.
 Stabilization: a positive Hopf stabilization of an open book gives the same
 manifold, and ``stabilize(..., extend_path=True)`` carries the pants path
 along.  So H_1, the rank bound, the verdict and the four condition statuses
-must not change, at every boundary site of every seeded spec.
+must not change, at every boundary site of every seeded spec.  Each spec is
+stabilized once first, at a seeded site, so that it carries windings.
 """
 
 from __future__ import annotations
@@ -122,15 +123,21 @@ def library_summary(spec) -> tuple:
 
 def test_stabilization_keeps_the_certificate():
     rng = random.Random(SEED)
+    # The drawn specs carry no windings.  One stabilization at a seeded site
+    # gives the fresh circle a nonzero one, so the relation also sees how
+    # the windings of the old circles are carried.
+    sites = random.Random(SEED + 1)
     compared = 0
     verdicts = set()
     for _ in range(100):
         spec = random_outer_spec(rng)
+        spec = stabilize(spec, sites.randint(1, spec.page.n_boundary), extend_path=True).spec
+        assert any(any(row) for row in spec.windings.entries)
         before = library_summary(spec)
         verdicts.add(before[2])
         for site in range(1, spec.page.n_boundary + 1):
             stabilized = stabilize(spec, site, extend_path=True).spec
             assert library_summary(stabilized) == before, (spec, site)
             compared += 1
-    assert compared == 276
+    assert compared == 376
     assert verdicts == {"Essential", "NotEstablished"}

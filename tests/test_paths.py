@@ -28,6 +28,7 @@ from tribranch import (
 )
 
 import oracles
+from test_isomorphism import CLOSED_PAGES, closed_page
 from tribranch import paths
 from genutils import (
     inverse_move,
@@ -176,14 +177,33 @@ def test_repairing_can_change_shape():
 
 
 def test_apply_move_preserves_surface_on_random_inputs():
+    # check_path validates only a path's start, so every move apply_move
+    # accepts must take a valid decomposition to a valid one of the same
+    # surface: at every curve, the S-move of a self-loop, or each re-pairing
+    # however it is written and the omitted pairing.
     rng = make_rng(10)
-    for _ in range(30):
-        sig = random_page(rng)
-        pd = random_decomposition(sig, rng)
-        if not pd.edges:
-            continue
-        out = apply_move(pd, random_move(pd, rng, "zz"))
-        assert validate_pants(sig, out).ok
+    pages = [random_decomposition(random_page(rng, b_max=6), rng, scramble=rng.randint(0, 6))
+             for _ in range(40)]
+    pages += [closed_page(pairs) for pairs in CLOSED_PAGES]
+    checked = 0
+    for pd in pages:
+        sig = pd.surface_sig()
+        assert validate_pants(sig, pd).ok
+        for curve in sorted(pd.edges):
+            if pd.is_self_loop(curve):
+                out = apply_move(pd, PantsMove(curve, "zz", S_MOVE))
+                assert validate_pants(sig, out).ok
+                checked += 1
+                continue
+            for (a, b), (c, d) in enumerate_pairings(pd, curve):
+                out, *others = [apply_move(pd, PantsMove(curve, "zz", A_MOVE, pairing))
+                                for pairing in (((a, b), (c, d)), ((c, d), (a, b)),
+                                                ((b, a), (d, c)), ((d, c), (b, a)))]
+                assert all(other == out for other in others)
+                assert validate_pants(sig, out).ok
+                checked += 1
+            assert validate_pants(sig, apply_move(pd, PantsMove(curve, "zz", A_MOVE))).ok
+    assert checked > 500
 
 
 def test_move_then_inverse_is_isomorphic():
