@@ -5,11 +5,13 @@ fixed-width path exists anywhere in this module, because the homology
 certificates built on top of it cannot be tolerance-based.
 
 ``invariant_factors`` computes the invariant factors s_1 | s_2 | ... of a
-matrix A, which is all ``cokernel`` needs.  One fraction-free (Bareiss) pass
-gives the rank r of A and a nonzero r x r minor D; ``IntMatrix.det`` is the
-same pass.  The matrix is then diagonalised over Z/DZ, where its entries stay
-below D (H. Cohen, A Course in Computational Algebraic Number Theory, 2.4;
-Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987).  This is exact:
+matrix A, which is all ``cokernel`` needs.  Without A's zero rows and columns,
+one fraction-free (Bareiss) pass, which drops the rows that vanish, gives the
+rank r of A and a nonzero r x r minor D; ``IntMatrix.det`` is the same pass.
+The rest is diagonalised over Z/DZ, where its entries stay below D (H. Cohen,
+A Course in Computational Algebraic Number Theory, 2.4; Domich, Kannan &
+Trotter, Math. Oper. Res. 12, 1987); unit factors and D's skip the sort.
+This is exact:
 
 - every r x r minor is a multiple of s_1 ... s_r, so each nonzero s_i
   divides D and is gcd(s_i, D), which the diagonal over Z/DZ determines;
@@ -27,6 +29,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from math import gcd
+from operator import index
 
 from .errors import TribranchError
 
@@ -43,7 +46,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        entries = tuple([tuple([int(x) for x in row]) for row in rows])
+        """A matrix from outside input; an entry that is no ``operator.index`` is an error."""
+        try:
+            entries = tuple([tuple([index(x) for x in row]) for row in rows])
+        except TypeError as err:
+            raise TribranchError(f"matrix must be a grid of integers: {err}") from None
         n_rows = len(entries)
         n_cols = len(entries[0]) if entries else 0
         return IntMatrix(n_rows, n_cols, entries)
@@ -202,6 +209,8 @@ def _fraction_free(rows) -> tuple:
     After each step the entries left are minors of the matrix (Bareiss, Math.
     Comp. 22, 1968), so the division is exact and D is the nonzero r x r
     minor on the pivot rows and columns; D is 1 when r = 0.
+    A vanished row stays zero and is dropped: r and D keep, and the sign
+    can change only where r is below the row count and the determinant is 0.
     """
     block = [list(row) for row in rows]
     rank, sign, minor = 0, 1, 1
@@ -215,10 +224,17 @@ def _fraction_free(rows) -> tuple:
             sign = -sign
         top = block[0]
         p, tail = top[0], top[1:]
-        block = [[(x * p - row[0] * y) // minor for x, y in zip(row[1:], tail)]
-                 for row in block[1:]]
+        block = list(filter(any, [[(x * p - row[0] * y) // minor
+                                   for x, y in zip(row[1:], tail)] for row in block[1:]]))
         rank, minor = rank + 1, p
     return rank, sign, minor
+
+
+def _drop_zero_lines(rows) -> list:
+    """The nonzero rows as lists, without the columns that are zero in all of them."""
+    rows = list(filter(any, rows))
+    kept = [j for j, col in enumerate(zip(*rows)) if any(col)]
+    return [[row[j] for j in kept] for row in rows]
 
 
 def _bezout(a: int, b: int) -> tuple:
@@ -240,20 +256,21 @@ def _bezout(a: int, b: int) -> tuple:
 def invariant_factors(a: IntMatrix) -> tuple:
     """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
-    One :func:`_fraction_free` pass gives the rank r and a nonzero r x r
-    minor D.  Rows and columns that are zero modulo D are dropped and the
-    rest is diagonalised over Z/DZ by extended-gcd row steps; a pivot that
-    does not divide its row is cleared the same way after a transpose, which
-    keeps the invariant factors.  Each diagonal entry d stands for
-    gcd(d, D), the positions left over (the dropped ones among them) for D,
-    and gcd/lcm pairs sort these into a divisibility chain whose first r
-    entries are s_1..s_r.
+    Rows and columns that are zero over Z are dropped (the padding to
+    min(rows, cols) entries stands for them).  One :func:`_fraction_free`
+    pass gives the rank r and a nonzero r x r minor D.  Rows and columns
+    zero modulo D are dropped too, and the rest is diagonalised over Z/DZ by
+    extended-gcd row steps, each row that vanishes dropped; a pivot that does
+    not divide its row is cleared the same way after a transpose, which keeps
+    the invariant factors.  Each diagonal entry d stands for gcd(d, D), the
+    positions left over for D.  All of them divide D: the unit factors go
+    first, the D's last, and gcd/lcm pairs sort the rest into a divisibility
+    chain whose first r entries are s_1..s_r.
     """
-    rank, _, d = _fraction_free(a.entries)
+    block = _drop_zero_lines(a.entries)
+    rank, _, d = _fraction_free(block)
     d = abs(d)
-    block = [row for row in ([x % d for x in row] for row in a.entries) if any(row)]
-    kept = [j for j in range(a.cols) if any(row[j] for row in block)]
-    block = [[row[j] for j in kept] for row in block]
+    block = _drop_zero_lines([[x % d for x in row] for row in block])
     chain = []
     while True:
         pos = next(((i, j) for i, row in enumerate(block)
@@ -278,12 +295,14 @@ def invariant_factors(a: IntMatrix) -> tuple:
                 break
             block = [list(col) for col in zip(*block)]
         chain.append(gcd(top[0], d))
-        block = [row[1:] for row in block[1:]]
-    chain += [d] * (min(a.rows, a.cols) - len(chain))
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] * chain[j] // g
+        block = [row[1:] for row in block[1:] if any(row)]
+    mid = [x for x in chain if 1 < x < d]
+    for i in range(len(mid)):
+        for j in range(i + 1, len(mid)):
+            g = gcd(mid[i], mid[j])
+            mid[i], mid[j] = g, mid[i] * mid[j] // g
+    units = chain.count(1)
+    chain = [1] * units + mid + [d] * (min(a.rows, a.cols) - units - len(mid))
     return tuple(chain[:rank]) + (0,) * (len(chain) - rank)
 
 

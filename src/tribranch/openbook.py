@@ -86,9 +86,10 @@ def transvection(j_form: IntMatrix, c) -> IntMatrix:
     This is the action of a Dehn twist along a curve in the class ``c``; it
     automatically fixes all boundary classes and preserves the form, so
     products of transvections are a convenient source of valid monodromies.
+    An entry of ``c`` that is not an integer is a TribranchError.
     """
     k = j_form.rows
-    c = [int(x) for x in c]
+    c = IntMatrix.from_rows([c]).entries[0]
     if len(c) != k:
         raise TribranchError(f"class has length {len(c)}, expected {k}")
     jc = [sum(j_form.entries[i][l] * c[l] for l in range(k)) for i in range(k)]
@@ -347,12 +348,11 @@ def _stabilized_basis_change(page: SurfaceSig, site: int) -> IntMatrix:
     P[k][2g + site - 1] = -1 when site < b.
     """
     g, k = page.genus, h1_rank(page)
-    rows = [[int(r == c) for c in range(k + 1)] for r in range(k + 1)]
+    rows = [[0] * r + [1] + [0] * (k - r) for r in range(k)] + [[0] * (k + 1)]
     for r in range(2 * g, k):
         rows[r][k] = -1
-    rows[k][k] = 0
     rows[k][2 * g + site - 1] = -1  # index k itself when site = b
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(k + 1, k + 1, tuple([tuple(row) for row in rows]))
 
 
 def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
@@ -364,7 +364,7 @@ def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
     P^-1 is the identity except on the rows 2g <= r <= k, and row r of
     P^-1 X is [r < k] X_r - X_k - [site < b] X_{2g+site-1}: row operations
     in O(k) per row, with no inverse matrix built.  ``rows`` are the k + 1
-    rows of X, all of one length.
+    rows of X, int tuples of one length.
     """
     g = page.genus
     k = len(rows) - 1
@@ -373,7 +373,8 @@ def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
     site_row = rows[2 * g + site - 1] if 2 * g + site - 1 < k else zero
     changed = [[x - y - z for x, y, z in zip(rows[r] if r < k else zero, rows[k], site_row)]
                for r in range(2 * g, k + 1)]
-    return IntMatrix.from_rows(list(rows[:2 * g]) + changed)
+    # A list, not map(), into tuple(): see the note on peak RSS in h1_open_book.
+    return IntMatrix(k + 1, len(zero), tuple(rows[:2 * g]) + tuple([tuple(r) for r in changed]))
 
 
 class StabilizationResult(namedtuple("StabilizationResult", "spec change_of_basis notes",
@@ -399,7 +400,9 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     P^-1 given on the two helpers above.  E is the old action extended by
     the identity on e; W is the old windings with circle ``site``'s column
     copied onto the fresh circle, plus a row for e that is 1 on the fresh
-    circle only.  Both cost O(k^2); no product is formed.
+    circle only.  Both cost O(k^2); no product is formed.  P and both P^-1 X
+    are built directly from their int tuples, with no pass over the entries.
+    ``site`` must be an ``int`` (not a ``bool``) in 1..b.
 
     The pants path does not transport through a stabilization: the model
     tracks no isotopy data, so silently reusing the old path would fabricate
@@ -409,8 +412,8 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     cuts off the two fresh boundary circles.
     """
     g, b = spec.page.genus, spec.page.n_boundary
-    if site < 1 or site > b:
-        raise TribranchError(f"site {site} not a boundary label 1..{b}")
+    if isinstance(site, bool) or not isinstance(site, int) or not 1 <= site <= b:
+        raise TribranchError(f"site {site!r} not a boundary label 1..{b}")
     new_page = SurfaceSig(genus=g, n_boundary=b + 1)
 
     old, old_w = _checked_shapes(spec)
@@ -419,15 +422,15 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     # Row i < k of E P is row i of the old action followed by minus its sum
     # over the old boundary classes; row k is row k of P.  The added twist
     # is along a boundary-parallel curve and acts trivially here.
-    ep = [list(row) + [-sum(row[2 * g:])] for row in old.entries]
+    ep = [row + (-sum(row[2 * g:]),) for row in old.entries]
     ep.append(p.entries[-1])
     new_matrix = _to_stabilized_basis(spec.page, site, ep)
 
     # Windings: old circles keep their (transported) windings; the fresh
     # circle b+1 picks up the stabilizing-curve class e on top of whatever
     # the old site circle carried.
-    carried = [list(row) + [row[site - 1]] for row in old_w.entries]
-    carried.append([0] * b + [1])
+    carried = [row + (row[site - 1],) for row in old_w.entries]
+    carried.append((0,) * b + (1,))
     new_w = _to_stabilized_basis(spec.page, site, carried)
 
     notes = [f"stabilized at boundary circle {site}: page {spec.page} -> {new_page}"]

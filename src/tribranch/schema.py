@@ -171,11 +171,12 @@ def _int(value, where: str) -> int:
 def _matrix(rows, where: str) -> IntMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"{where} must be a list of rows")
-    for r in rows:
-        for x in r:
-            _int(x, where)
+    # One type pass; on a failure _int names the fault (an int subclass becomes an int).
+    if not all(type(x) is int for r in rows for x in r):
+        rows = [[int(_int(x, where)) for x in r] for r in rows]
     try:
-        return IntMatrix.from_rows(rows)
+        return IntMatrix(len(rows), len(rows[0]) if rows else 0,
+                         tuple([tuple(r) for r in rows]))
     except TribranchError as err:
         raise SchemaError(f"{where}: {err}") from err
 

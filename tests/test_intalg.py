@@ -302,3 +302,88 @@ def test_bezout_keeps_a_dividing_pivot():
     for a, b in [(8, 10), (10, 8), (7, 5), (12, 18)]:
         g, x, y = intalg._bezout(a, b)
         assert g == gcd(a, b) == x * a + y * b
+
+
+def _pruned_shapes(rng):
+    """Seeded matrices on which the elimination drops rows, columns or factors."""
+    for _ in range(60):
+        # Zero rows and columns mixed in anywhere.
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            entries[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in entries:
+                row[j] = 0
+        yield "zero-lines", entries
+    for _ in range(60):
+        # Rows that are combinations of earlier ones vanish in the middle of
+        # the Bareiss pass, after as many pivots as there are base rows.
+        cols, t = rng.randint(2, 6), rng.randint(1, 4)
+        base = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(t)]
+        entries = list(base)
+        for _ in range(rng.randint(1, 3)):
+            cs = [rng.randint(-3, 3) for _ in range(t)]
+            entries.append([sum(c * row[j] for c, row in zip(cs, base)) for j in range(cols)])
+        rng.shuffle(entries)
+        yield "dependent-rows", entries
+    for _ in range(60):
+        # Sparse with unit entries, like a stabilized presentation: a dense
+        # block of M - 1 beside winding columns of 0 and +-1.
+        g = rng.randint(1, 2)
+        extra = rng.randint(1, 6 - 2 * g)
+        k = 2 * g + extra
+        entries = [[rng.randint(-3, 3) for _ in range(2 * g)]
+                   + [rng.choice((0, 0, 0, 1, -1)) for _ in range(extra)] for _ in range(k)]
+        for i in rng.sample(range(k), extra):
+            entries[i][:2 * g] = [0] * (2 * g)
+        yield "sparse-unit", entries
+    for _ in range(40):
+        # Diagonal chains of 1s and D only, scattered by row and column swaps.
+        n, d = rng.randint(1, 6), rng.choice((2, 6, 12, 30))
+        diag = [rng.choice((1, d)) for _ in range(n)]
+        entries = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rng.shuffle(entries)
+        perm = rng.sample(range(n), n)
+        yield "units-and-d", [[row[j] for j in perm] for row in entries]
+
+
+def test_pruned_elimination_matches_snf_minor_and_laplace_oracles():
+    rng = make_rng(26)
+    kinds = set()
+    vanished = 0
+    for kind, entries in _pruned_shapes(rng):
+        kinds.add(kind)
+        a = IntMatrix.from_rows(entries)
+        factors = invariant_factors(a)
+        assert factors == smith_normal_form(a).invariant_factors, (kind, entries)
+        assert list(factors) == oracle_invariant_factors(a), (kind, entries)
+        if a.rows == a.cols:
+            assert a.det() == laplace(entries), (kind, entries)
+        rank = intalg._fraction_free(a.entries)[0]
+        vanished += any(entries) and rank < len([row for row in entries if any(row)])
+    assert kinds == {"zero-lines", "dependent-rows", "sparse-unit", "units-and-d"}
+    # Rows do vanish in the middle of the pass on a good share of the inputs.
+    assert vanished >= 60
+
+
+def test_fraction_free_drops_vanished_rows_without_changing_rank_or_minor():
+    # Row 3 is row 1 + row 2: it vanishes after the second pivot, and D is
+    # the minor on rows 1, 2 and 4.
+    rows = [[1, 2, 3], [0, 1, 4], [1, 3, 7], [2, 1, 1]]
+    rank, _, minor = intalg._fraction_free(rows)
+    assert (rank, minor) == (3, laplace([rows[0], rows[1], rows[3]])) == (3, 7)
+    assert intalg._fraction_free([[0, 0], [0, 0]]) == (0, 1, 1)
+    assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+
+
+def test_from_rows_takes_integers_only():
+    for bad in (1.5, "3", None):
+        with pytest.raises(TribranchError, match="grid of integers"):
+            IntMatrix.from_rows([[1, bad], [0, 1]])
+    with pytest.raises(TribranchError, match="grid of integers"):
+        IntMatrix.from_rows([3])
+    a = IntMatrix.from_rows([[1, -2], [3, 10**30]])
+    assert a.entries == ((1, -2), (3, 10**30))
+    assert all(type(x) is int for row in a.entries for x in row)
+    assert IntMatrix.from_rows(a.to_json()) == a

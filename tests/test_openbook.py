@@ -511,6 +511,40 @@ def test_stabilize_invalid_site():
         stabilize(spec, site=2)
 
 
+@pytest.mark.parametrize("site", [True, 1.0, "1", None])
+def test_stabilize_rejects_a_site_that_is_not_an_int(site):
+    spec = identity_spec(1, 2)
+    with pytest.raises(TribranchError, match="not a boundary label 1..2"):
+        stabilize(spec, site=site)
+
+
+def test_stabilize_builds_plain_int_tuples_equal_to_dense_builds():
+    rng = make_rng(38)
+    for g, b in [(0, 1), (1, 1), (1, 3), (2, 2), (3, 4)]:
+        page = SurfaceSig(g, b)
+        k = h1_rank(page)
+        w = IntMatrix(k, b, tuple(tuple(rng.randint(-5, 5) for _ in range(b))
+                                  for _ in range(k)))
+        spec = OpenBookSpec(page=page, monodromy=random_monodromy(page, rng), windings=w)
+        for site in range(1, b + 1):
+            res = stabilize(spec, site=site)
+            for mat in (res.change_of_basis, res.spec.monodromy.matrix, res.spec.windings):
+                assert type(mat.entries) is tuple
+                assert all(type(row) is tuple for row in mat.entries)
+                assert all(type(x) is int for row in mat.entries for x in row)
+                assert IntMatrix.from_rows(mat.to_json()) == mat
+
+
+def test_transvection_takes_integer_classes_only():
+    j_form = intersection_form(SurfaceSig(1, 1))
+    for bad in (1.5, "1", None):
+        with pytest.raises(TribranchError, match="grid of integers"):
+            transvection(j_form, [1, bad])
+    t = transvection(j_form, [1, 0])
+    assert t == IntMatrix.from_rows([[1, -1], [0, 1]])
+    assert all(type(x) is int for row in t.entries for x in row)
+
+
 def test_stabilize_clears_path_by_default():
     page = SurfaceSig(1, 1)
     pd = standard_decomposition(page)

@@ -20,6 +20,7 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
+from tribranch.cli import main
 from tribranch.schema import canonical_json, complex_json, parse_spec, spec_to_json
 
 
@@ -60,6 +61,29 @@ def test_schema_rejects_structural_problems():
     with pytest.raises(SchemaError):
         parse_spec({"page": {"genus": 0, "boundary": 3},
                     "monodromy": {"h1_matrix": [[1.5, 0], [0, 1]]}})
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("key", ["h1_matrix", "boundary_windings"])
+def test_matrix_rejects_a_non_integer_at_any_position(tmp_path, capsys, key, bad):
+    # F(1,2): the action is 3 x 3 and the windings 2 rows of 3 (one per circle).
+    doc = {"page": {"genus": 1, "boundary": 2},
+           "monodromy": {"h1_matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                         "boundary_windings": [[0, 0, 0], [0, 0, 0]]}}
+    message = f"monodromy.{key} must be an integer"
+    rows = doc["monodromy"][key]
+    cells = [(0, 0), (len(rows) // 2, 1), (len(rows) - 1, 2)]
+    for i, j in cells:
+        bent = json.loads(json.dumps(doc))
+        bent["monodromy"][key][i][j] = bad
+        with pytest.raises(SchemaError) as err:
+            parse_spec(bent)
+        assert str(err.value) == message
+        path = tmp_path / f"bent{i}{j}.json"
+        path.write_text(json.dumps(bent))
+        assert main(["validate", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert parse_spec(doc).monodromy.matrix.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_wrong_matrix_size_is_domain_not_schema():
