@@ -65,9 +65,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def transpose(self) -> "IntMatrix":
         # Shaped directly: from_rows would read an r x 0 matrix's transpose as 0 x 0.
         return IntMatrix(self.cols, self.rows, tuple(

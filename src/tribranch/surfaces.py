@@ -264,14 +264,16 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
 #
 # Two decompositions are compared as decorated trivalent multigraphs with
 # labelled legs; curve ids, pants ids and slot numbers are bookkeeping and
-# carry no meaning.  All three routines below share one colour refinement
-# (McKay & Piperno, Practical graph isomorphism II, J. Symbolic Comput. 60,
-# 2014): a pants starts coloured by its leg labels and self-loop count, and
-# colour classes are split by the sorted colours of the non-loop neighbours
-# until the partition is stable or discrete.  A colour is always the rank of
-# a sorted signature, never a pants id, so colours are isomorphism invariant
-# and comparable between two decompositions.  A discrete colouring numbers
-# the pants 0..V-1, which is the vertex order a canonical key encodes.
+# carry no meaning.  canonical_key and find_isomorphism share one colour
+# refinement (McKay & Piperno, Practical graph isomorphism II, J. Symbolic
+# Comput. 60, 2014): a pants starts coloured by its leg labels and self-loop
+# count, and colour classes are split by the sorted colours of the non-loop
+# neighbours until the partition is stable or discrete.  A colour is always
+# the rank of a sorted signature, never a pants id, so colours are
+# isomorphism invariant and comparable between two decompositions.  A
+# discrete colouring numbers the pants 0..V-1, which is the vertex order a
+# canonical key encodes.  Extending a given curve bijection needs no search:
+# the curves fix every pants, so it is a lookup by pants content.
 # ---------------------------------------------------------------------------
 
 
@@ -361,35 +363,6 @@ def canonical_key(pd: PantsDecomposition) -> tuple:
     return best
 
 
-def _smallest_map(order: list, candidates: dict, fits) -> dict:
-    """The lexicographically smallest injective map on ``order`` or ``None``.
-
-    Each pants ``p`` of ``order`` (sorted) goes to one of ``candidates[p]``
-    (sorted); ``fits(p, q, vmap)`` decides whether ``p -> q`` extends the
-    partial map ``vmap``.  It may reject only extensions that cannot
-    complete, so the first complete map found is the smallest valid one.
-    """
-    vmap, used, tries = {}, set(), []
-    i = 0
-    while i < len(order):
-        if len(tries) == i:
-            tries.append(iter(candidates[order[i]]))
-        p = order[i]
-        for q in tries[i]:
-            if q not in used and fits(p, q, vmap):
-                vmap[p] = q
-                used.add(q)
-                i += 1
-                break
-        else:
-            tries.pop()
-            if i == 0:
-                return None
-            i -= 1
-            used.discard(vmap.pop(order[i]))
-    return vmap
-
-
 def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
     """A decorated-graph isomorphism of ``a`` onto ``b`` respecting leg labels.
 
@@ -415,15 +388,24 @@ def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
             and legs_b[q] == legs_a[p] and loops_b[q] == loops_a[p]]
         for p in a.pants
     }
-
-    def fits(p, q, vmap):
-        image = set(vmap.values())
-        return (sorted(vmap[r] for r in nbrs_a[p] if r in vmap)
-                == sorted(s for s in nbrs_b[q] if s in image))
-
-    vmap = _smallest_map(sorted(a.pants), candidates, fits)
-    if vmap is None:
-        return None
+    # tries[i] iterates the candidates left for the i-th pants of ``order``.
+    order = sorted(a.pants)
+    vmap, tries = {}, []
+    while len(vmap) < len(order):
+        p = order[len(vmap)]
+        if len(tries) == len(vmap):
+            tries.append(iter(candidates[p]))
+        used = set(vmap.values())
+        mapped = sorted(vmap[r] for r in nbrs_a[p] if r in vmap)
+        q = next((q for q in tries[-1] if q not in used
+                  and mapped == sorted(s for s in nbrs_b[q] if s in used)), None)
+        if q is not None:
+            vmap[p] = q
+            continue
+        tries.pop()
+        if not vmap:
+            return None
+        vmap.popitem()
     # Match parallel-edge classes: curves with the same image endpoints pair up in id order.
     need = {}
     for c in sorted(a.edges):
@@ -439,39 +421,42 @@ def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
     return vmap, emap
 
 
+def _pants_by_content(pd: PantsDecomposition, name) -> dict:
+    """The sorted pants of ``pd`` grouped by content: curve ends renamed by
+    ``name`` (a self-loop counts twice) and leg labels, tagged 0 and 1 so
+    that curve ids never compare with labels."""
+    content = {p: [] for p in pd.pants}
+    for c, ((u, _), (v, _)) in pd.edges.items():
+        content[u].append((0, name(c)))
+        content[v].append((0, name(c)))
+    for label, (p, _) in pd.legs.items():
+        content[p].append((1, label))
+    groups = {}
+    for p in sorted(pd.pants):
+        groups.setdefault(tuple(sorted(content[p])), []).append(p)
+    return groups
+
+
 def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition,
                                     curve_map: dict):
     """Extend a curve bijection a -> b to a vertex map, if it extends at all.
 
-    The extension must send each pants to one carrying the image curves in
-    its cuffs and must respect leg labels.  Among valid extensions the
-    lexicographically smallest is returned; ``None`` if none exists.  Each
-    pants may only go to a pants at the ends of all its curves' images and
-    carrying all its legs, which leaves at most two candidates per pants.
+    A valid extension sends each pants to one with the same content, the
+    image curves in its cuffs and the same leg labels, so it exists exactly
+    when both sides have the same contents with the same multiplicities
+    (else ``None``).  Sorted pants go to sorted pants within each content,
+    the lexicographically smallest valid map.  In a valid decomposition two
+    pants share a content only on the closed genus-two page, whose three
+    curves join the same two pants; there both maps are valid.
     """
     if sorted(curve_map) != sorted(a.edges) or sorted(curve_map.values()) != sorted(b.edges):
         return None
-    allowed = {p: set(b.pants) for p in a.pants}
-    incident = {p: [] for p in a.pants}
-    for c, ends in a.edges.items():
-        image = {q for q, _ in b.edges[curve_map[c]]}
-        for p in {p for p, _ in ends}:
-            allowed[p] &= image
-            incident[p].append(c)
-    for label, (p, _) in a.legs.items():
-        allowed[p] &= {b.legs[label][0]} if label in b.legs else set()
-    candidates = {p: sorted(qs) for p, qs in allowed.items()}
-
-    def fits(p, q, vmap):
-        for c in incident[p]:
-            ends = [e for e, _ in a.edges[c]]
-            if all(e == p or e in vmap for e in ends):
-                mapped = sorted(q if e == p else vmap[e] for e in ends)
-                if mapped != sorted(e for e, _ in b.edges[curve_map[c]]):
-                    return False
-        return True
-
-    return _smallest_map(sorted(a.pants), candidates, fits)
+    groups_a = _pants_by_content(a, curve_map.__getitem__)
+    groups_b = _pants_by_content(b, lambda c: c)
+    if {key: len(ps) for key, ps in groups_a.items()} != {
+            key: len(qs) for key, qs in groups_b.items()}:
+        return None
+    return dict(sorted(pq for key, ps in groups_a.items() for pq in zip(ps, groups_b[key])))
 
 
 # ---------------------------------------------------------------------------

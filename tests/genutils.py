@@ -7,6 +7,7 @@ of execution order.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
@@ -25,6 +26,7 @@ from tribranch import (
     h1_rank,
     intersection_form,
     move_kind,
+    replay,
     standard_decomposition,
     transvection,
 )
@@ -116,6 +118,46 @@ def random_closed_path(sig, rng, max_moves=6) -> PantsPath:
         iso = find_isomorphism(cur, start)
     assert iso is not None, "mirrored walk must close up"
     return PantsPath(start=start, moves=moves, closure=dict(iso[1]))
+
+
+def rotate_path(path: PantsPath) -> PantsPath:
+    """The closed path started one page later: C_1, ..., C_n, then m_1 carried onto C_n.
+
+    The mapping torus does not depend on which page is called C_0, so the
+    rotated path describes the same open book.  The carried move removes
+    the closure preimage of m_1's removed curve and adds a fresh curve id.
+    Each cuff of its pairing is the C_n cuff that holds the closure preimage
+    of the C_0 cuff's curve end (on the closure preimage of its pants, the
+    same end for a self-loop), or the same leg.  The new closure is the old
+    one with the fresh id sent to m_1's added curve.
+    """
+    decomps = replay(path)
+    start, final = decomps[0], decomps[-1]
+    first = path.moves[0]
+    preimage = {d: c for c, d in path.closure.items()}
+    pants_back = {q: p for p, q in vertex_map_from_curve_bijection(
+        final, start, path.closure).items()}
+    ends = {cuff: (c, e) for c, pair in start.edges.items() for e, cuff in enumerate(pair)}
+    legs = {cuff: label for label, cuff in start.legs.items()}
+
+    def carried(cuff):
+        cuff = tuple(cuff)
+        if cuff in legs:
+            return final.legs[legs[cuff]]
+        c, e = ends[cuff]
+        pair = final.edges[preimage[c]]
+        return pair[e] if pair[e][0] == pants_back[cuff[0]] else pair[1 - e]
+
+    used = {c for pd in decomps for c in pd.edges}
+    fresh = next(f"t{j}" for j in itertools.count(1) if f"t{j}" not in used)
+    pairing = None if first.pairing is None else tuple(
+        tuple(carried(c) for c in side) for side in first.pairing)
+    closure = {c: d for c, d in path.closure.items() if d != first.removed}
+    closure[fresh] = first.added
+    return PantsPath(start=decomps[1],
+                     moves=path.moves[1:] + [PantsMove(preimage[first.removed], fresh,
+                                                       first.kind, pairing)],
+                     closure=closure)
 
 
 def random_monodromy(page, rng, twists=3) -> MonodromyH1:

@@ -25,6 +25,10 @@ comparing each re-pairing with the cuffs of one support pants, and
 S-moves and the re-pairing that keeps the original grouping included;
 ``paths.search_path`` must return the same moves and closure.
 
+``complex_fingerprint`` is a label-free invariant of a complex: colour
+refinement on its graph of branches, circles and blocks.  Relations between
+two constructions of one manifold compare it.
+
 ``complex_document`` builds the complex document as a dict, one record at a
 time; ``schema.complex_json`` must write exactly the bytes of
 ``json.dumps(complex_document(tc), sort_keys=True, indent=2) + "\n"``.
@@ -62,6 +66,35 @@ def h1_presentation(spec) -> IntMatrix:
             for i in range(k)]
     rows.append([0] * k + [1] * b)
     return IntMatrix.from_rows(rows)
+
+
+def complex_fingerprint(tc) -> tuple:
+    """Colour refinement on the incidence graph of ``tc``, with every id left out.
+
+    The nodes are the branches, the branching circles and the blocks; a
+    germ joins a circle to its branch and a side joins a branch to its
+    block.  A branch starts coloured by its taxonomy and signature, a block
+    by its kind, base and boundary label.  Each of four rounds recolours a
+    node by its colour and the sorted colours of its neighbours, as ranks.
+    The fingerprint holds each round's sorted signatures, so equal
+    fingerprints mean the refinement cannot tell the two graphs apart.
+    """
+    colour = {("branch", b.id): (b.taxonomy, b.sig) for b in tc.branches}
+    colour.update({("circle", c.id): ("circle",) for c in tc.circles})
+    colour.update({("block", b.id): (b.kind, b.base, b.boundary_label) for b in tc.blocks})
+    nbrs = {node: [] for node in colour}
+    incidences = [(("circle", c.id), ("branch", g[0])) for c in tc.circles for g in c.germs]
+    incidences += [(("branch", b), ("block", blk)) for b, pair in tc.sides.items() for blk in pair]
+    for x, y in incidences:
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    history = [tuple(sorted(colour.values()))]
+    colour = _ranks(colour)
+    for _ in range(4):
+        signature = {n: (c, tuple(sorted(colour[m] for m in nbrs[n]))) for n, c in colour.items()}
+        history.append(tuple(sorted(signature.values())))
+        colour = _ranks(signature)
+    return tuple(history)
 
 
 def canonical_key(pd: PantsDecomposition) -> tuple:

@@ -1,5 +1,7 @@
 """The isomorphism routines of ``surfaces`` against the exhaustive oracles."""
 
+import itertools
+
 import oracles
 from tribranch import (
     PantsDecomposition,
@@ -130,11 +132,19 @@ def closed_page(pairs):
     return PantsDecomposition.build(sorted(free), edges, {})
 
 
-# Closed pages of genus 3 (four pants) and 4 (six pants).  Every pants of
-# a page without legs or self-loops starts with the same colour, so the
-# refinement alone cannot tell the pants apart.  In the last page they are
-# not all alike either: the two ends of the double curve differ from the rest.
+# The closed genus-two theta page: three curves join the same two pants, so
+# both pants have the same content under any curve bijection, and both
+# vertex maps extend it.  It is the one page whose curve bijections extend
+# in two ways.
+THETA = [("P0", "P1")] * 3
+
+# Closed pages of genus 2 (the theta page), 3 (four pants) and 4 (six
+# pants).  Every pants of a page without legs or self-loops starts with the
+# same colour, so the refinement alone cannot tell the pants apart.  In the
+# last page they are not all alike either: the two ends of the double curve
+# differ from the rest.
 CLOSED_PAGES = (
+    THETA,
     [("P0", "P1"), ("P0", "P2"), ("P0", "P3"), ("P1", "P2"), ("P1", "P3"), ("P2", "P3")],
     [("P0", "P1"), ("P0", "P1"), ("P2", "P3"), ("P2", "P3"), ("P1", "P2"), ("P3", "P0")],
     [("P0", "P0"), ("P0", "P1"), ("P1", "P2"), ("P1", "P2"), ("P2", "P3"), ("P3", "P3")],
@@ -161,6 +171,56 @@ def test_closed_pages_without_legs():
         check_against_oracles(pd, rng.choice(
             [d for d in pages if d.surface_sig() == pd.surface_sig()]), rng)
     assert len({oracles.canonical_key(pd) for pd in pages}) > 1
+
+
+def test_every_curve_permutation_of_the_theta_page_extends_to_the_smallest_map():
+    pd = closed_page(THETA)
+    assert validate_pants(SurfaceSig(2, 0), pd).ok
+    curves = sorted(pd.edges)
+    for images in itertools.permutations(curves):
+        curve_map = dict(zip(curves, images))
+        vmap = vertex_map_from_curve_bijection(pd, pd, curve_map)
+        assert vmap == {"P0": "P0", "P1": "P1"}
+        assert vmap == oracles.vertex_map_from_curve_bijection(pd, pd, curve_map)
+    # On a relabelled copy the smallest map still sends sorted pants to sorted pants.
+    copy = PantsDecomposition.build(
+        ["Q9", "Q3"], {c: (("Q9", s), ("Q3", t)) for c, ((_, s), (_, t)) in pd.edges.items()}, {})
+    assert vertex_map_from_curve_bijection(pd, copy, {c: c for c in curves}) == {
+        "P0": "Q3", "P1": "Q9"}
+
+
+def test_curve_bijection_extensions_agree_with_the_oracle():
+    # Random curve maps seldom extend; an isomorphism's curve map always
+    # does, and with two of its images swapped it extends only when the two
+    # curves are alike.  Pages with legs pin their pants by label, pages
+    # without legs only by their curves.
+    rng = make_rng(35)
+    pages = [random_decomposition(SIGS[i % len(SIGS)], rng, scramble=rng.randint(0, 8))
+             for i in range(130)]
+    pages += [closed_page(pairs) for pairs in CLOSED_PAGES[:3]]
+    for i in range(40):
+        pd = rng.choice(pages[-3:])
+        for j in range(rng.randint(1, 5)):
+            pd = apply_move(pd, random_move(pd, rng, f"m{i}_{j}"))
+        pages.append(pd)
+    outcomes = {True: 0, False: 0}
+    for pd in pages:
+        other = rng.choice([d for d in pages if d.surface_sig() == pd.surface_sig()])
+        for b in (other, relabel(pd, rng)[0]):
+            images = sorted(b.edges)
+            rng.shuffle(images)
+            maps = [dict(zip(sorted(pd.edges), images))]
+            iso = find_isomorphism(pd, b)
+            if iso is not None and len(iso[1]) >= 2:
+                swapped = dict(iso[1])
+                x, y = rng.sample(sorted(swapped), 2)
+                swapped[x], swapped[y] = swapped[y], swapped[x]
+                maps += [iso[1], swapped]
+            for curve_map in maps:
+                vmap = vertex_map_from_curve_bijection(pd, b, curve_map)
+                assert vmap == oracles.vertex_map_from_curve_bijection(pd, b, curve_map)
+                outcomes[vmap is not None] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_relabelled_thirty_pants_pages_share_keys():

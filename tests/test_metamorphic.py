@@ -10,7 +10,16 @@ verdict, the four condition statuses and the validation issue codes must
 not change.  Curve ids are renamed in a shuffled order.  Pants ids keep
 their order: ``apply_move`` hands the re-paired cuffs to the support pants
 by id order, so after a reordering a later move's pairing would address
-other cuffs, and the renamed spec would describe another path.
+other cuffs, and the renamed spec would describe another path.  Where an
+outer complex is built, its label-free fingerprint
+(``oracles.complex_fingerprint``) must not change either.
+
+Rotation: the mapping torus does not depend on which page of a closed pants
+path is called C_0.  Each seeded golden path spec is rotated by every offset
+(``genutils.rotate_path``), and the exit code, the rank certificate, the
+verdict, the condition statuses, the inventory and the fingerprint must not
+change.  Of the three relations only this one moves the wrap of the
+construction, where the last slab is glued to page 0 through the closure.
 
 Stabilization: a positive Hopf stabilization of an open book gives the same
 manifold, and ``stabilize(..., extend_path=True)`` carries the pants path
@@ -26,9 +35,12 @@ import io
 import json
 import random
 
-from genutils import random_outer_spec
+from genutils import random_outer_spec, rotate_path
+from oracles import complex_fingerprint
 from test_golden_reports import write_corpus
 from tribranch import (
+    ESSENTIAL,
+    TribranchError,
     check_essential,
     check_local_models,
     construct_outer,
@@ -36,7 +48,8 @@ from tribranch import (
     stabilize,
     validate_spec,
 )
-from tribranch.cli import main
+from tribranch.cli import EXIT_DOMAIN, EXIT_OK, main
+from tribranch.schema import load_spec_file
 
 SEED = 20261020
 
@@ -96,10 +109,19 @@ def certify_summary(spec: str) -> tuple:
     )
 
 
+def fingerprint(spec: str):
+    """The fingerprint of the outer complex of ``spec``, or None if none is built."""
+    checked = validate_spec(load_spec_file(spec)[0])
+    try:
+        return complex_fingerprint(construct_outer(checked))
+    except TribranchError:
+        return None
+
+
 def test_renaming_pants_and_curve_ids_keeps_the_certificate(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
-    compared = 0
+    compared = built = 0
     for name in write_corpus(tmp_path):
         try:
             doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
@@ -109,8 +131,44 @@ def test_renaming_pants_and_curve_ids_keeps_the_certificate(tmp_path, monkeypatc
             continue
         (tmp_path / "renamed.json").write_text(json.dumps(renamed(doc, rng)), encoding="utf-8")
         assert certify_summary("renamed.json") == certify_summary(name), name
+        expected = fingerprint(name)
+        assert fingerprint("renamed.json") == expected, name
         compared += 1
-    assert compared == 101
+        built += expected is not None
+    assert (compared, built) == (101, 94)
+
+
+def outer_summary(spec) -> tuple:
+    """What ``certify`` decides about a valid ``spec``, and its complex's fingerprint."""
+    checked = validate_spec(spec)
+    assert checked.report.ok, checked.report.summary()
+    cert = rank_certificate(spec)
+    tc = construct_outer(checked)
+    local = check_local_models(tc)
+    assert local.ok, local.summary()
+    report = check_essential(tc, cert, local)
+    code = EXIT_OK if report.verdict == ESSENTIAL else EXIT_DOMAIN
+    return (code, cert.to_json(), report.verdict, [c.status for c in report.conditions],
+            tc.inventory(), complex_fingerprint(tc))
+
+
+def test_rotating_the_path_keeps_the_certificate_and_the_complex(tmp_path):
+    specs = compared = 0
+    for name in write_corpus(tmp_path):
+        if name[0] not in "rw":
+            continue
+        spec = load_spec_file(str(tmp_path / name))[0]
+        if not spec.pants_path.moves or not validate_spec(spec).report.ok:
+            continue
+        before = outer_summary(spec)
+        path = spec.pants_path
+        # Offset n carries every move once round and ends on a relabelled C_0.
+        for offset in range(1, len(path.moves) + 1):
+            path = rotate_path(path)
+            assert outer_summary(spec._replace(pants_path=path)) == before, (name, offset)
+            compared += 1
+        specs += 1
+    assert (specs, compared) == (63, 230)
 
 
 def library_summary(spec) -> tuple:
