@@ -264,16 +264,17 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
 #
 # Two decompositions are compared as decorated trivalent multigraphs with
 # labelled legs; curve ids, pants ids and slot numbers are bookkeeping and
-# carry no meaning.  canonical_key and find_isomorphism share one colour
-# refinement (McKay & Piperno, Practical graph isomorphism II, J. Symbolic
-# Comput. 60, 2014): a pants starts coloured by its leg labels and self-loop
-# count, and colour classes are split by the sorted colours of the non-loop
-# neighbours until the partition is stable or discrete.  A colour is always
-# the rank of a sorted signature, never a pants id, so colours are
-# isomorphism invariant and comparable between two decompositions.  A
-# discrete colouring numbers the pants 0..V-1, which is the vertex order a
-# canonical key encodes.  Extending a given curve bijection needs no search:
-# the curves fix every pants, so it is a lookup by pants content.
+# carry no meaning.  canonical_key and find_isomorphism read the leaves of
+# one search, individualisation-refinement (McKay & Piperno, Practical graph
+# isomorphism II, J. Symbolic Comput. 60, 2014).  A pants starts coloured by
+# its leg labels and self-loop count, and colour classes are split by the
+# sorted colours of the non-loop neighbours until the partition is stable or
+# discrete.  A colour is always the rank of a sorted signature, never a
+# pants id, so colours are comparable between two decompositions.  A leaf
+# is a discrete colouring, numbering the pants 0..V-1; the leaves with one
+# encoding differ exactly by the automorphisms of the graph.  Extending a
+# given curve bijection needs no search: the curves fix every pants, so it
+# is a lookup by pants content.
 # ---------------------------------------------------------------------------
 
 
@@ -311,10 +312,10 @@ def _refine(colour: dict, nbrs: dict) -> dict:
 
 
 def _colours(pd: PantsDecomposition):
-    """The stable colouring of ``pd`` and what it was refined from.
+    """The stable colouring of ``pd`` and the graph it was refined on.
 
-    Returns ``(colour, legs, loops, nbrs)``: per pants its colour, its leg
-    labels, its self-loop count and the far ends of its other curves.
+    Returns ``(colour, nbrs)``: per pants its colour and the far ends of its
+    other curves.  Leg labels and self-loop counts seed the first colouring.
     """
     legs = {p: () for p in pd.pants}
     loops = dict.fromkeys(pd.pants, 0)
@@ -327,85 +328,63 @@ def _colours(pd: PantsDecomposition):
         else:
             nbrs[u].append(v)
             nbrs[v].append(u)
-    colour = _refine(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs)
-    return colour, legs, loops, nbrs
+    return _refine(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs), nbrs
 
 
-def canonical_key(pd: PantsDecomposition) -> tuple:
-    """Canonical form of the decorated graph, equal iff leg-respecting isomorphic.
+def _leaves(pd: PantsDecomposition):
+    """Yield ``(encoding, colour)`` at every leaf of the search tree of ``pd``.
 
     Individualisation-refinement: when the stable colouring leaves a class of
     several pants, each pants of the first such class is given a colour of
-    its own in turn and the colouring is refined again.  Every leaf of that
-    search is a discrete colouring, which numbers the pants by colour; the
-    key is the smallest encoding over all leaves.  A page with a large
-    automorphism group costs one leaf per automorphism; leg labels pin most
-    pants, so pages seldom have one.
+    its own in turn and the colouring is refined again.  Every leaf is a
+    discrete colouring, which numbers the pants by colour.  A page with a
+    large automorphism group has one leaf per automorphism; leg labels pin
+    most pants, so pages seldom have one.
     """
-    colour, _, _, nbrs = _colours(pd)
-    best = None
-
-    def search(colour):
-        nonlocal best
+    colour, nbrs = _colours(pd)
+    stack = [colour]
+    while stack:
+        colour = stack.pop()
         if len(set(colour.values())) == len(colour):
-            enc = _encoding(pd, colour)
-            if best is None or enc < best:
-                best = enc
-            return
+            yield _encoding(pd, colour), colour
+            continue
         cells = {}
         for p, c in colour.items():
             cells.setdefault(c, []).append(p)
         split = min(c for c, members in cells.items() if len(members) > 1)
-        for p in cells[split]:
-            search(_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs))
+        stack += (_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs)
+                  for p in cells[split])
 
-    search(colour)
-    return best
+
+def canonical_key(pd: PantsDecomposition) -> tuple:
+    """Canonical form of the decorated graph: the smallest leaf encoding.
+
+    For decompositions with the same leg labels, the keys are equal iff the
+    decompositions are leg-respecting isomorphic.  The key records where
+    each label sits, not the label values.
+    """
+    return min(enc for enc, _ in _leaves(pd))
 
 
 def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
     """A decorated-graph isomorphism of ``a`` onto ``b`` respecting leg labels.
 
-    Returns ``(vertex_map, edge_map)`` or ``None``.  Among the valid
-    isomorphisms the one with the lexicographically smallest vertex map is
-    returned, so the result is deterministic: a depth-first search maps the
-    sorted pants of ``a`` to sorted candidates in ``b`` of the same colour,
-    leg labels and self-loop count, keeping only partial maps that preserve
-    the number of curves between mapped pants.  Parallel curves are matched
-    in sorted id order.
+    Returns ``(vertex_map, edge_map)`` or ``None``.  A leaf of ``b`` with
+    the smallest encoding, composed with each leaf of ``a`` with that same
+    encoding, gives every isomorphism; the lexicographically smallest vertex
+    map is returned, so the result is deterministic.  On a page with a large
+    automorphism group this costs about two :func:`canonical_key` calls.
+    Parallel curves are matched in sorted id order.
     """
-    if a.n_pants != b.n_pants or a.n_curves != b.n_curves:
-        return None
     if sorted(a.legs) != sorted(b.legs):
         return None
-    colour_a, legs_a, loops_a, nbrs_a = _colours(a)
-    colour_b, legs_b, loops_b, nbrs_b = _colours(b)
-    b_pants = sorted(b.pants)
-    # Colours rank signatures within one graph, so between two graphs that
-    # are not isomorphic equal colours need not mean equal legs and loops.
-    candidates = {
-        p: [q for q in b_pants if colour_b[q] == colour_a[p]
-            and legs_b[q] == legs_a[p] and loops_b[q] == loops_a[p]]
-        for p in a.pants
-    }
-    # tries[i] iterates the candidates left for the i-th pants of ``order``.
-    order = sorted(a.pants)
-    vmap, tries = {}, []
-    while len(vmap) < len(order):
-        p = order[len(vmap)]
-        if len(tries) == len(vmap):
-            tries.append(iter(candidates[p]))
-        used = set(vmap.values())
-        mapped = sorted(vmap[r] for r in nbrs_a[p] if r in vmap)
-        q = next((q for q in tries[-1] if q not in used
-                  and mapped == sorted(s for s in nbrs_b[q] if s in used)), None)
-        if q is not None:
-            vmap[p] = q
-            continue
-        tries.pop()
-        if not vmap:
-            return None
-        vmap.popitem()
+    best, leaf_b = min(_leaves(b), key=lambda leaf: leaf[0])
+    pants_b = {c: q for q, c in leaf_b.items()}
+    vmap = min((sorted((p, pants_b[c]) for p, c in colour.items())
+                for enc, colour in _leaves(a) if enc == best), default=None)
+    if vmap is None:
+        return None
+    vmap = dict(vmap)
     # Match parallel-edge classes: curves with the same image endpoints pair up in id order.
     need = {}
     for c in sorted(a.edges):

@@ -8,9 +8,12 @@ isomorphic pairs, and the same lexicographically smallest vertex maps.
 
 ``refine_until_stable`` is the colour refinement that always runs one
 more round to confirm that nothing splits, even once every pants has a
-colour of its own; ``stable_colours`` and ``individualised_key`` are
-``surfaces._colours`` and ``surfaces.canonical_key`` built on it, and the
-package routines must return exactly what they return.
+colour of its own.  ``stable_colours`` is ``surfaces._colours`` built on
+it: the stable colouring and the non-loop neighbours it was refined on,
+with leg labels and self-loop counts only seeding the first colouring.
+``individualised_key`` is ``surfaces.canonical_key`` built on it, by a
+recursive search rather than the package's leaf generator.  The package
+routines must return exactly what these return.
 
 ``h1_presentation`` is the H_1 presentation of an open book with nothing
 eliminated; ``openbook.h1_open_book`` must give its cokernel.
@@ -128,7 +131,7 @@ def refine_until_stable(colour: dict, nbrs: dict) -> dict:
 
 
 def stable_colours(pd: PantsDecomposition):
-    """``(colour, legs, loops, nbrs)`` as ``surfaces._colours`` returns them."""
+    """``(colour, nbrs)`` as ``surfaces._colours`` returns them."""
     legs = {p: () for p in pd.pants}
     loops = dict.fromkeys(pd.pants, 0)
     nbrs = {p: [] for p in pd.pants}
@@ -141,7 +144,7 @@ def stable_colours(pd: PantsDecomposition):
             nbrs[u].append(v)
             nbrs[v].append(u)
     colour = refine_until_stable(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs)
-    return colour, legs, loops, nbrs
+    return colour, nbrs
 
 
 def individualised_key(pd: PantsDecomposition) -> tuple:
@@ -151,7 +154,7 @@ def individualised_key(pd: PantsDecomposition) -> tuple:
     own in turn and the colouring is refined again; a discrete colouring
     orders the pants by colour and is encoded like the exhaustive key.
     """
-    colour, _, _, nbrs = stable_colours(pd)
+    colour, nbrs = stable_colours(pd)
     best = None
 
     def search(colour):

@@ -241,3 +241,17 @@ def test_curve_bijection_with_a_missing_leg_label_does_not_extend():
     legs[9] = legs.pop(5)
     other = PantsDecomposition.build(pd.pants, pd.edges, legs)
     assert vertex_map_from_curve_bijection(pd, other, {c: c for c in pd.edges}) is None
+
+
+def test_isomorphism_respects_leg_label_values():
+    # Renaming label 5 to 6 moves no leg, so the canonical keys agree: the
+    # key records where each label sits, not its value.  No isomorphism can
+    # map label 5 onto a page without one.
+    pd = standard_decomposition(SurfaceSig(0, 5))
+    legs = dict(pd.legs)
+    legs[6] = legs.pop(5)
+    other = PantsDecomposition.build(pd.pants, pd.edges, legs)
+    assert canonical_key(other) == canonical_key(pd)
+    assert oracles.find_isomorphism(pd, other) is None
+    assert find_isomorphism(pd, other) is None
+    assert find_isomorphism(other, pd) is None

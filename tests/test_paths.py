@@ -578,6 +578,21 @@ def test_search_matches_the_all_moves_oracle():
     assert found > 0 and exhausted > 0
 
 
+def test_search_closures_on_symmetric_pages_are_the_smallest_isomorphisms():
+    # Pages without legs have many automorphisms, so the closure is one of
+    # several isomorphisms onto the target; it must be the one with the
+    # smallest vertex map, as the exhaustive oracle picks it.
+    rng = make_rng(36)
+    for i in range(40):
+        start = closed_page(CLOSED_PAGES[i % len(CLOSED_PAGES)])
+        target = start
+        for j in range(rng.randint(1, 3)):
+            target = apply_move(target, random_move(target, rng, f"m{i}_{j}"))
+        path = search_path(start, target, budget=200)
+        assert path is not None
+        assert path.closure == oracles.find_isomorphism(replay(path)[-1], target)[1]
+
+
 def test_search_applies_only_the_genuine_repairings(monkeypatch):
     """Every expanded node applies re-pairings 1 and 2 of each non-loop curve,
     in order, and nothing else; the last node may stop at the target.  Every
