@@ -6,17 +6,28 @@ certificates built on top of it cannot be tolerance-based.
 
 ``invariant_factors`` computes the invariant factors s_1 | s_2 | ... of a
 matrix A, which is all ``cokernel`` needs.  Without A's zero rows and columns,
-one fraction-free (Bareiss) pass, which drops the rows that vanish, gives the
-rank r of A and a nonzero r x r minor D; ``IntMatrix.det`` is the same pass.
-The rest is diagonalised over Z/DZ, where its entries stay below D (H. Cohen,
-A Course in Computational Algebraic Number Theory, 2.4; Domich, Kannan &
-Trotter, Math. Oper. Res. 12, 1987); unit factors and D's skip the sort.
-This is exact:
+the +-1 entries are split off over Z first: each clears its column by row
+steps, and its row and column go with one invariant factor 1 (Cohen, below).
+One fraction-free (Bareiss) pass over what is left, which drops the rows
+that vanish, gives its rank r and a nonzero r x r minor D; ``IntMatrix.det``
+is the same pass on the whole matrix, which keeps the sign.  The rest is
+diagonalised over Z/DZ, where its entries stay below D (H. Cohen, A Course
+in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
+Math. Oper. Res. 12, 1987); unit factors and D's skip the sort.  This is
+exact:
 
+- a unit step is unimodular, so it keeps the cokernel, and after s of them
+  every entry is an (s + 1) x (s + 1) minor of A divided by a pivot minor
+  of +-1 (Sylvester's identity): no entry grows beyond what the Bareiss
+  pass carries anyway;
 - every r x r minor is a multiple of s_1 ... s_r, so each nonzero s_i
   divides D and is gcd(s_i, D), which the diagonal over Z/DZ determines;
 - the rank is exact, so the zero factors s_{r+1}, ... (0 mod D, like D
   itself) are never read as D.
+
+On a stabilized open book each boundary circle that stabilization added
+brings a winding column with a unit, so the Bareiss pass and the pass
+modulo D see the base page's presentation, not one more row per rung.
 
 ``smith_normal_form`` (with its unimodular transforms U and V, pivots of
 smallest absolute value in row-major order) and ``determinantal_divisors``
@@ -254,19 +265,37 @@ def invariant_factors(a: IntMatrix) -> tuple:
     """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
     Rows and columns that are zero over Z are dropped (the padding to
-    min(rows, cols) entries stands for them).  One :func:`_fraction_free`
-    pass gives the rank r and a nonzero r x r minor D.  Rows and columns
-    zero modulo D are dropped too, and the rest is diagonalised over Z/DZ by
-    extended-gcd row steps, each row that vanishes dropped; a pivot that does
-    not divide its row is cleared the same way after a transpose, which keeps
-    the invariant factors.  Each diagonal entry d stands for gcd(d, D), the
-    positions left over for D.  All of them divide D: the unit factors go
-    first, the D's last, and gcd/lcm pairs sort the rest into a divisibility
-    chain whose first r entries are s_1..s_r.
+    min(rows, cols) entries stands for them).  Then, while an entry p = +-1
+    is left (the first in row-major order), each other row subtracts
+    c * p times p's row, for its entry c in p's column; that is unimodular
+    and clears the column, since p * p = 1.  p's row and column are dropped
+    with one factor 1, and so is every row that vanished; the units go
+    first in the chain and count towards the rank.  One
+    :func:`_fraction_free` pass over the rest gives its rank r and a
+    nonzero r x r minor D.  Rows and columns zero modulo D are dropped too,
+    and the rest is diagonalised over Z/DZ by extended-gcd row steps, each
+    row that vanishes dropped; a pivot that does not divide its row is
+    cleared the same way after a transpose, which keeps the invariant
+    factors.  Each diagonal entry d stands for gcd(d, D), the positions left
+    over for D.  All of them divide D: the unit factors go first, the D's
+    last, and gcd/lcm pairs sort the rest into a divisibility chain whose
+    first r entries are s_1..s_r.
     """
     block = _drop_zero_lines(a.entries)
+    units = 0
+    while True:
+        i = next((i for i, row in enumerate(block) if 1 in row or -1 in row), None)
+        if i is None:
+            break
+        top = block.pop(i)
+        j = next(j for j, x in enumerate(top) if x in (1, -1))
+        p = top.pop(j)
+        qs = [row.pop(j) * p for row in block]
+        block = list(filter(any, [[x - q * y for x, y in zip(row, top)] if q else row
+                                  for row, q in zip(block, qs)]))
+        units += 1
     rank, _, d = _fraction_free(block)
-    d = abs(d)
+    rank, d = rank + units, abs(d)
     block = _drop_zero_lines([[x % d for x in row] for row in block])
     chain = []
     while True:
@@ -298,7 +327,7 @@ def invariant_factors(a: IntMatrix) -> tuple:
         for j in range(i + 1, len(mid)):
             g = gcd(mid[i], mid[j])
             mid[i], mid[j] = g, mid[i] * mid[j] // g
-    units = chain.count(1)
+    units += chain.count(1)
     chain = [1] * units + mid + [d] * (min(a.rows, a.cols) - units - len(mid))
     return tuple(chain[:rank]) + (0,) * (len(chain) - rank)
 

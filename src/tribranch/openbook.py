@@ -130,11 +130,18 @@ def validate_monodromy(page: SurfaceSig, m: MonodromyH1) -> ValidationReport:
              for i in range(2 * page.genus, k) if row[i] != (r == i)}
     for i in sorted(moved):
         report.add("boundary-class", f"boundary class c_{i - 2 * page.genus + 1} not fixed")
-    if not preserves_intersection_form(page, mat):
-        report.add("intersection-form", "action does not preserve the intersection form")
     # With the boundary classes fixed M = [[A, 0], [C, I]], and M^T J M = J
-    # gives A^T J_g A = J_g, so det M = det A = 1.  The determinant can only
-    # fail next to an earlier entry, so it is computed only to explain one.
+    # reduces to A^T J_g A = J_g on the top-left 2g x 2g block A, the form
+    # check of the page F(g, 1); it gives det M = det A = 1.  A moved class
+    # keeps the check on all of M.
+    g2 = 2 * page.genus
+    form_page, form_mat = (page, mat) if moved else (
+        SurfaceSig(page.genus, 1),
+        IntMatrix(g2, g2, tuple([row[:g2] for row in mat.entries[:g2]])))
+    if not preserves_intersection_form(form_page, form_mat):
+        report.add("intersection-form", "action does not preserve the intersection form")
+    # The determinant can only fail next to an earlier entry, so it is
+    # computed only to explain one.
     if not report.ok:
         det = mat.det()
         if abs(det) != 1:

@@ -170,6 +170,36 @@ def random_monodromy(page, rng, twists=3) -> MonodromyH1:
     return MonodromyH1(m)
 
 
+def dense_monodromy(page, rng, shifts) -> MonodromyH1:
+    """A dense valid action M = P D P^-1 on ``page`` with H_1 in closed form.
+
+    D is the identity on the boundary classes and the block
+    [[1, 1], [t - 2, t - 1]] on each handle, whose part of M - 1 has cokernel
+    Z/(t - 2) (Z when t = 2); ``shifts`` lists t - 2 for the first handles,
+    and the handles after them keep the identity block (Z^2 each).
+    P is a product of k transvections T = 1 + c (Jc)^T, applied as rank-one
+    updates, and P^-1 the reversed product of their inverses 1 - c (Jc)^T.
+    """
+    k = h1_rank(page)
+    j = intersection_form(page).entries
+    p = [[int(r == s) for s in range(k)] for r in range(k)]
+    p_inv = [row[:] for row in p]
+    for _ in range(k):
+        c = [rng.choice((-1, 0, 1)) for _ in range(k)]
+        jc = [sum(x * y for x, y in zip(row, c)) for row in j]
+        pc = [sum(x * y for x, y in zip(row, c)) for row in p]
+        p = [[x + pc[r] * jc[s] for s, x in enumerate(row)] for r, row in enumerate(p)]
+        jc_p_inv = [sum(jc[r] * p_inv[r][s] for r in range(k)) for s in range(k)]
+        p_inv = [[x - c[r] * jc_p_inv[s] for s, x in enumerate(row)]
+                 for r, row in enumerate(p_inv)]
+    pd = [row[:] for row in p]
+    for i, n in enumerate(shifts):
+        for row in pd:
+            x, y = row[2 * i], row[2 * i + 1]
+            row[2 * i], row[2 * i + 1] = x + y * n, x + y * (n + 1)
+    return MonodromyH1(IntMatrix.from_rows(pd).mul(IntMatrix.from_rows(p_inv)))
+
+
 def random_matrix(rng, max_dim=5, lo=-9, hi=9) -> IntMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)

@@ -367,6 +367,75 @@ def test_pruned_elimination_matches_snf_minor_and_laplace_oracles():
     assert vanished >= 60
 
 
+def _unit_rich_matrices(rng):
+    """Seeded matrices whose +-1 entries the unit split takes as pivots."""
+    for n in range(1, 5):
+        yield "empty", IntMatrix(0, n, ())
+        yield "empty", IntMatrix.from_rows([[]] * n)
+    for _ in range(60):
+        # Signed permutation matrices, some entries scaled: -1 pivots.
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        yield "permutation", IntMatrix.from_rows(
+            [[rng.choice((1, -1, -1, 2, -3)) if j == perm[i] else 0 for j in range(n)]
+             for i in range(n)])
+    for _ in range(100):
+        # Tall, wide and square, mostly 0 and +-1, with zero rows and columns.
+        short, long = rng.randint(1, 3), rng.randint(4, 8)
+        rows, cols = rng.choice(((short, long), (long, short),
+                                 (rng.randint(1, 6), rng.randint(1, 6))))
+        entries = [[rng.choice((0, 0, 1, -1, -1, 2, -2, 5)) for _ in range(cols)]
+                   for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+            entries[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+            for row in entries:
+                row[j] = 0
+        yield "sparse", IntMatrix.from_rows(entries)
+    for _ in range(80):
+        # L D U with unitriangular L and U whose other entries are 0, +-2 or
+        # +-3: most units of D surface only after earlier unit steps.
+        n = rng.randint(2, 6)
+        tri = [[rng.choice((0, 2, -2, 3, -3)) for _ in range(n)] for _ in range(2)]
+        low = [[1 if i == j else tri[0][j] * (j < i) for j in range(n)] for i in range(n)]
+        up = [[1 if i == j else tri[1][j] * (j > i) for j in range(n)] for i in range(n)]
+        diag = [rng.choice((1, -1, 1, -1, 2, 6)) for _ in range(n)]
+        ldu = [[sum(low[i][t] * diag[t] * up[t][j] for t in range(n)) for j in range(n)]
+               for i in range(n)]
+        rng.shuffle(ldu)
+        perm = rng.sample(range(n), n)
+        yield "hidden", IntMatrix.from_rows([[row[j] for j in perm] for row in ldu])
+
+
+def test_unit_split_matches_snf_minor_and_laplace_oracles(monkeypatch):
+    rng = make_rng(27)
+    fraction_free = intalg._fraction_free
+    seen = []
+    monkeypatch.setattr(intalg, "_fraction_free",
+                        lambda rows: seen.append(rows) or fraction_free(rows))
+    kinds = set()
+    hidden = 0
+    for kind, a in _unit_rich_matrices(rng):
+        kinds.add(kind)
+        entries = [list(row) for row in a.entries]
+        seen.clear()
+        factors = invariant_factors(a)
+        (rest,) = seen
+        assert factors == smith_normal_form(a).invariant_factors, (kind, entries)
+        assert list(factors) == oracle_invariant_factors(a), (kind, entries)
+        # The Bareiss pass gets what the s unit steps left: no +-1 entry,
+        # and at most rows - s rows and cols - s columns.
+        s = sum(1 for d in factors if d) - fraction_free(rest)[0]
+        assert not any(x in (1, -1) for row in rest for x in row), (kind, entries)
+        assert len(rest) <= a.rows - s, (kind, entries)
+        assert all(len(row) <= a.cols - s for row in rest), (kind, entries)
+        hidden += s > sum(x in (1, -1) for row in entries for x in row)
+        if a.rows == a.cols:
+            assert a.det() == laplace(entries), (kind, entries)
+    assert kinds == {"empty", "permutation", "sparse", "hidden"}
+    assert hidden >= 20, hidden
+
+
 def test_fraction_free_drops_vanished_rows_without_changing_rank_or_minor():
     # Row 3 is row 1 + row 2: it vanishes after the second pivot, and D is
     # the minor on rows 1, 2 and 4.

@@ -28,14 +28,14 @@ from tribranch import (
     validate_path,
     validate_spec,
 )
-from tribranch import openbook
+from tribranch import intalg, openbook
 from tribranch.openbook import (
     _stabilized_basis_change,
     _to_stabilized_basis,
     preserves_intersection_form,
 )
 
-from genutils import make_rng, random_monodromy, random_page
+from genutils import dense_monodromy, make_rng, random_monodromy, random_page
 from oracles import h1_presentation
 
 
@@ -127,28 +127,41 @@ def _generic_validation(page, mat):
 
 
 def test_form_check_agrees_with_generic_product():
+    # With the boundary classes fixed the form is checked on the 2g x 2g
+    # block; a moved class keeps the check on all of M.  Here the block is
+    # the identity, but c_1 goes to a_1 + c_1 and <b_1, a_1 + c_1> = -1.
+    mat = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    assert validate_monodromy(SurfaceSig(1, 2), MonodromyH1(mat)).codes() == [
+        "boundary-class", "intersection-form"]
     rng = make_rng(34)
     seen = {True: 0, False: 0}
-    for _ in range(150):
+    guarded = 0
+    for _ in range(300):
         page = random_page(rng, g_max=3, b_max=4, chi_max=0)
-        k = h1_rank(page)
-        mat = random_monodromy(page, rng, twists=rng.randint(0, 4)).matrix
-        kind = rng.randrange(3)
-        if kind and k:
-            rows = [list(row) for row in mat.entries]
-            i, c = rng.randrange(k), rng.randrange(k)
-            if kind == 1:
-                rows[i][c] += rng.choice((-2, -1, 1, 2))
-            else:
-                rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-            mat = IntMatrix.from_rows(rows)
+        k, g2 = h1_rank(page), 2 * page.genus
+        rows = [list(row) for row in
+                random_monodromy(page, rng, twists=rng.randint(0, 4)).matrix.entries]
+        kind = rng.choice(("valid", "perturbed", "block", "random", "moved"))
+        if kind == "perturbed":
+            rows[rng.randrange(k)][rng.randrange(k)] += rng.choice((-2, -1, 1, 2))
+        elif kind == "block" and g2:
+            rows[rng.randrange(g2)][rng.randrange(g2)] += rng.choice((-2, -1, 1, 2))
+        elif kind == "random":
+            rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        elif kind == "moved" and k > g2:
+            # Only a boundary column changes, so the block stays symplectic.
+            rows[rng.randrange(k)][rng.randrange(g2, k)] += rng.choice((-1, 1))
+        mat = IntMatrix.from_rows(rows)
         j = intersection_form(page)
         generic = mat.transpose().mul(j).mul(mat) == j
         assert preserves_intersection_form(page, mat) == generic, (page, mat)
         seen[generic] += 1
         report = validate_monodromy(page, MonodromyH1(mat))
         assert [(e.code, e.message) for e in report.entries] == _generic_validation(page, mat)
+        # A form violation that the full product finds and the block does not.
+        guarded += kind == "moved" and not generic
     assert min(seen.values()) >= 30, seen
+    assert guarded >= 10, guarded
 
 
 def test_huge_determinant_is_reported_without_its_digits():
@@ -294,35 +307,14 @@ def test_h1_invariant_under_boundary_fixing_conjugation():
 
 
 def _dense_conjugate_h1(rng, g, b, shifts):
-    """H_1 of M = P D P^-1 on F(g, b) and the seconds it took.
+    """H_1 of a dense M = P D P^-1 on F(g, b) and the seconds it took.
 
-    D is the identity on the boundary classes and the block
-    [[1, 1], [t - 2, t - 1]] on each handle, whose part of M - 1 has cokernel
-    Z/(t - 2); ``shifts`` lists t - 2.  P is a product of k transvections
-    T = 1 + c (Jc)^T, applied as rank-one updates, and P^-1 the reversed
-    product of their inverses 1 - c (Jc)^T.
+    M comes from :func:`genutils.dense_monodromy`; ``shifts`` lists t - 2.
     """
     page = SurfaceSig(g, b)
-    k = h1_rank(page)
-    j = intersection_form(page).entries
-    p = [[int(r == s) for s in range(k)] for r in range(k)]
-    p_inv = [row[:] for row in p]
-    for _ in range(k):
-        c = [rng.choice((-1, 0, 1)) for _ in range(k)]
-        jc = [sum(x * y for x, y in zip(row, c)) for row in j]
-        pc = [sum(x * y for x, y in zip(row, c)) for row in p]
-        p = [[x + pc[r] * jc[s] for s, x in enumerate(row)] for r, row in enumerate(p)]
-        jc_p_inv = [sum(jc[r] * p_inv[r][s] for r in range(k)) for s in range(k)]
-        p_inv = [[x - c[r] * jc_p_inv[s] for s, x in enumerate(row)]
-                 for r, row in enumerate(p_inv)]
-    pd = [row[:] for row in p]
-    for i, n in enumerate(shifts):
-        for row in pd:
-            x, y = row[2 * i], row[2 * i + 1]
-            row[2 * i], row[2 * i + 1] = x + y * n, x + y * (n + 1)
-    m = IntMatrix.from_rows(pd).mul(IntMatrix.from_rows(p_inv))
-    assert max(abs(x) for row in m.entries for x in row) > 10 ** 6
-    spec = OpenBookSpec(page=page, monodromy=MonodromyH1(m))
+    m = dense_monodromy(page, rng, shifts)
+    assert max(abs(x) for row in m.matrix.entries for x in row) > 10 ** 6
+    spec = OpenBookSpec(page=page, monodromy=m)
     begin = time.perf_counter()
     h1 = h1_open_book(spec)
     return h1, time.perf_counter() - begin
@@ -501,6 +493,32 @@ def test_stabilize_ladder_to_rank_42_keeps_h1():
     assert h1_rank(spec.page) == 42
     # An O(n^5) inversion of the basis change takes tens of seconds here.
     assert spent < 1.0, f"40 stabilizations took {spent:.2f}s"
+
+
+def test_stabilize_ladders_keep_h1_and_split_the_winding_units(monkeypatch):
+    # Each rung adds a boundary circle whose winding column carries a unit;
+    # invariant_factors splits the units off, so the Bareiss pass never sees
+    # more rows than the base presentation has.
+    rng = make_rng(37)
+    seen = []
+    fraction_free = intalg._fraction_free
+    monkeypatch.setattr(intalg, "_fraction_free",
+                        lambda rows: seen.append(len(rows)) or fraction_free(rows))
+    # The torsion orders of each base already divide one another in sorted
+    # order; the handles without a shift add Z^2 each.
+    for (g, b), shifts in [((3, 9), [2, 0, -4]), ((4, 7), [12, -2, 1, 4]), ((2, 11), [6])]:
+        page = SurfaceSig(g, b)
+        spec = OpenBookSpec(page=page, monodromy=dense_monodromy(page, rng, shifts))
+        base = h1_open_book(spec)
+        free = b - 1 + shifts.count(0) + 2 * (g - len(shifts))
+        assert base == AbelianGroup(free, tuple(sorted(abs(n) for n in shifts if abs(n) > 1)))
+        k = h1_rank(page)
+        for rung in range(30):
+            spec = stabilize(spec, site=rng.randint(1, b + rung)).spec
+            assert h1_open_book(spec) == base, (page, rung)
+        assert h1_rank(spec.page) == k + 30
+        assert seen and max(seen) <= k, (page, max(seen))
+        seen.clear()
 
 
 def test_stabilize_invalid_site():
