@@ -24,13 +24,14 @@ the original).
 
 Search operates on leg-respecting isomorphism classes of decorated graphs,
 which is weaker than isotopy classes of curve systems on the surface, but it
-is exactly the granularity the downstream constructions consume.  Each
-candidate costs one :func:`canonical_key`, a colour refinement rather than a
-loop over vertex orders, so the cost of a search follows the number of
-candidates it generates.  A node's candidates are the two genuine
-re-pairings of each of its non-loop curves: an S-move, or an A-move that
-keeps the original grouping, only renames the curve and permutes slots on
-its support pants, so it never leaves the node's class.
+is exactly the granularity the downstream constructions consume.  A node's
+candidates are the two genuine re-pairings of each of its non-loop curves:
+an S-move, or an A-move that keeps the original grouping, only renames the
+curve and permutes slots on its support pants, so it never leaves the
+node's class.  A candidate the search may still expand costs one
+:func:`canonical_key`, a colour refinement rather than a loop over vertex
+orders.  One past the search's horizon can only be the target, and is first
+compared with it by :func:`key_shape`, which costs about a fifth of a key.
 
 Every A-move ends in one application step, which places the two groups of
 a re-pairing on the support pants.  :func:`apply_move` checks a move before
@@ -53,6 +54,7 @@ from .surfaces import (
     canonical_key,
     components,
     find_isomorphism,
+    key_shape,
     validate_pants,
     vertex_map_from_curve_bijection,
 )
@@ -377,6 +379,13 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     a string) is a :class:`TribranchError`.  On success the returned path
     carries the found isomorphism as its closure and always satisfies
     :func:`validate_path`.
+
+    Only the start and the first ``budget - 1`` classes queued are ever
+    expanded.  Past that horizon a candidate can only be the target, so it
+    is keyed only when its :func:`key_shape` matches the target's; the
+    others are kept in order and keyed only if the target turns up, since
+    the new classes before it fix its fresh id.  The results are those of
+    the search that keys every candidate.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise TribranchError("budget must be a positive integer")
@@ -411,6 +420,8 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     fresh = next(fresh_ids)
     seen = {start_key}
     queue = deque([(c, [])])
+    target_shape = key_shape(c_target)
+    past_horizon = []
     expanded = 0
     while queue and expanded < budget:
         pd, moves = queue.popleft()
@@ -419,19 +430,31 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
             if pd.is_self_loop(curve):
                 continue
             for pairing in enumerate_pairings(pd, curve)[1:]:
-                mv = PantsMove(curve, fresh, A_MOVE, pairing)
                 # apply_move's checks hold by construction: the curve is no
                 # self-loop, so the move is an A-move; enumerate_pairings
                 # splits exactly its support cuffs two-and-two, in sorted
                 # groups; the fresh id skips the start's curves and every id
                 # already used, so no queued decomposition carries it.
                 nxt = _apply_repairing(pd, curve, fresh, pairing)
-                key = canonical_key(nxt)
-                if key in seen:
-                    continue
-                fresh = next(fresh_ids)
-                seen.add(key)
-                if key == target_key:
-                    return finish(nxt, moves + [mv])
-                queue.append((nxt, moves + [mv]))
+                if len(seen) < budget:
+                    key = canonical_key(nxt)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    path = moves + [PantsMove(curve, fresh, A_MOVE, pairing)]
+                    fresh = next(fresh_ids)
+                    if key == target_key:
+                        return finish(nxt, path)
+                    queue.append((nxt, path))
+                elif key_shape(nxt) != target_shape or canonical_key(nxt) != target_key:
+                    past_horizon.append(nxt)
+                else:
+                    # Each new class before the target used up a fresh id.
+                    for earlier in past_horizon:
+                        key = canonical_key(earlier)
+                        if key not in seen:
+                            seen.add(key)
+                            fresh = next(fresh_ids)
+                    mv = PantsMove(curve, fresh, A_MOVE, pairing)
+                    return finish(_apply_repairing(pd, curve, fresh, pairing), moves + [mv])
     return None

