@@ -9,25 +9,30 @@ matrix A, which is all ``cokernel`` needs.  Without A's zero rows and columns,
 the +-1 entries are split off over Z first: each clears its column by row
 steps, and its row and column go with one invariant factor 1 (Cohen, below).
 One fraction-free (Bareiss) pass over what is left, which drops the rows
-that vanish, gives its rank r and a nonzero r x r minor D; ``IntMatrix.det``
-is the same pass on the whole matrix, which keeps the sign.  The rest is
-diagonalised over Z/DZ, where its entries stay below D (H. Cohen, A Course
-in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
-Math. Oper. Res. 12, 1987); unit factors and D's skip the sort.  This is
-exact:
+that vanish, gives its rank r, a nonzero r x r minor D and the gcd G of the
+block D is taken from; ``IntMatrix.det`` is the same pass on the whole
+matrix, which keeps the sign of D.  The rest is diagonalised over Z/GZ,
+where its entries stay below G (H. Cohen, A Course in Computational
+Algebraic Number Theory, 2.4; Domich, Kannan & Trotter, Math. Oper. Res.
+12, 1987); unit factors and G's skip the sort.  This is exact:
 
 - a unit step is unimodular, so it keeps the cokernel, and after s of them
   every entry is an (s + 1) x (s + 1) minor of A divided by a pivot minor
   of +-1 (Sylvester's identity): no entry grows beyond what the Bareiss
   pass carries anyway;
-- every r x r minor is a multiple of s_1 ... s_r, so each nonzero s_i
-  divides D and is gcd(s_i, D), which the diagonal over Z/DZ determines;
-- the rank is exact, so the zero factors s_{r+1}, ... (0 mod D, like D
-  itself) are never read as D.
+- every entry of the block D is taken from is an r x r minor (Sylvester's
+  identity again), and every r x r minor is a multiple of s_1 ... s_r, so
+  G is too: each nonzero s_i divides G and is gcd(s_i, G), which the
+  diagonal over Z/GZ determines;
+- the rank is exact, so the zero factors s_{r+1}, ... (0 mod G, like G
+  itself) are never read as G.
+
+G divides D; where the rank falls short of the column count it is often
+far smaller (README, "Cost of homology").
 
 On a stabilized open book each boundary circle that stabilization added
 brings a winding column with a unit, so the Bareiss pass and the pass
-modulo D see the base page's presentation, not one more row per rung.
+modulo G see the base page's presentation, not one more row per rung.
 
 ``smith_normal_form`` (with its unimodular transforms U and V, pivots of
 smallest absolute value in row-major order) and ``determinantal_divisors``
@@ -100,7 +105,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         """Determinant: sign * D from :func:`_fraction_free` at full rank, else 0."""
         if self.rows != self.cols:
             raise TribranchError("determinant of a non-square matrix")
-        rank, sign, minor = _fraction_free(self.entries)
+        rank, sign, minor, _ = _fraction_free(self.entries)
         return sign * minor if rank == self.rows else 0
 
     def to_json(self) -> list:
@@ -211,17 +216,20 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 
 def _fraction_free(rows) -> tuple:
-    """Rank r, row-swap sign and last pivot D of one Bareiss elimination.
+    """Rank r, row-swap sign, last pivot D and block gcd G of one Bareiss elimination.
 
     Columns are taken left to right and a column with no pivot is skipped.
     After each step the entries left are minors of the matrix (Bareiss, Math.
     Comp. 22, 1968), so the division is exact and D is the nonzero r x r
-    minor on the pivot rows and columns; D is 1 when r = 0.
+    minor on the pivot rows and columns.  G is the gcd of every entry of the
+    block that D is taken from; each of them is an r x r minor (Sylvester's
+    identity), so G is a multiple of the gcd of all r x r minors and divides
+    D.  D and G are 1 when r = 0.
     A vanished row stays zero and is dropped: r and D keep, and the sign
     can change only where r is below the row count and the determinant is 0.
     """
     block = [list(row) for row in rows]
-    rank, sign, minor = 0, 1, 1
+    rank, sign, minor, last = 0, 1, 1, [[1]]
     while block and block[0]:
         k = next((i for i, row in enumerate(block) if row[0]), None)
         if k is None:
@@ -232,10 +240,11 @@ def _fraction_free(rows) -> tuple:
             sign = -sign
         top = block[0]
         p, tail = top[0], top[1:]
+        last = block
         block = list(filter(any, [[(x * p - row[0] * y) // minor
                                    for x, y in zip(row[1:], tail)] for row in block[1:]]))
         rank, minor = rank + 1, p
-    return rank, sign, minor
+    return rank, sign, minor, gcd(*[x for row in last for x in row])
 
 
 def _drop_zero_lines(rows) -> list:
@@ -271,13 +280,14 @@ def invariant_factors(a: IntMatrix) -> tuple:
     and clears the column, since p * p = 1.  p's row and column are dropped
     with one factor 1, and so is every row that vanished; the units go
     first in the chain and count towards the rank.  One
-    :func:`_fraction_free` pass over the rest gives its rank r and a
-    nonzero r x r minor D.  Rows and columns zero modulo D are dropped too,
-    and the rest is diagonalised over Z/DZ by extended-gcd row steps, each
-    row that vanishes dropped; a pivot that does not divide its row is
+    :func:`_fraction_free` pass over the rest gives its rank r and the gcd
+    G of the block its last pivot is taken from, a multiple of s_1 ... s_r
+    (see the module docstring).  Rows and columns zero modulo G are dropped
+    too, and the rest is diagonalised over Z/GZ by extended-gcd row steps,
+    each row that vanishes dropped; a pivot that does not divide its row is
     cleared the same way after a transpose, which keeps the invariant
-    factors.  Each diagonal entry d stands for gcd(d, D), the positions left
-    over for D.  All of them divide D: the unit factors go first, the D's
+    factors.  Each diagonal entry d stands for gcd(d, G), the positions left
+    over for G.  All of them divide G: the unit factors go first, the G's
     last, and gcd/lcm pairs sort the rest into a divisibility chain whose
     first r entries are s_1..s_r.
     """
@@ -294,8 +304,8 @@ def invariant_factors(a: IntMatrix) -> tuple:
         block = list(filter(any, [[x - q * y for x, y in zip(row, top)] if q else row
                                   for row, q in zip(block, qs)]))
         units += 1
-    rank, _, d = _fraction_free(block)
-    rank, d = rank + units, abs(d)
+    rank, _, _, d = _fraction_free(block)
+    rank += units
     block = _drop_zero_lines([[x % d for x in row] for row in block])
     chain = []
     while True:

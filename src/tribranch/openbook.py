@@ -156,20 +156,23 @@ def preserves_intersection_form(page: SurfaceSig, mat: IntMatrix) -> bool:
     Entry (p, q) of M^T J M is the intersection number of columns p and q
     of the k x k matrix M.  Only the g symplectic pairs of rows (a_i, b_i)
     contribute to it, so row p is the sum over i of
-    M[a_i][p] * M[b_i] - M[b_i][p] * M[a_i]: O(g k^2) in all, against the
-    O(k^3) of two generic products.
+    M[a_i][p] * M[b_i] - M[b_i][p] * M[a_i].  M^T J M is antisymmetric for
+    every M, as J is: its diagonal is 0 and its lower triangle is minus the
+    upper one, so only the entries q > p of row p are computed, and J's only
+    upper entries are +1 at (a_i, b_i).  That is O(g k^2) in all, against
+    the O(k^3) of two generic products.
     """
-    k = mat.rows
+    k, g2 = mat.rows, 2 * page.genus
     pairs = [(mat.entries[2 * i], mat.entries[2 * i + 1]) for i in range(page.genus)]
-    for p in range(k):
-        row = [0] * k
+    for p in range(k - 1):
+        row = [0] * (k - 1 - p)
         for a, b in pairs:
             ap, bp = a[p], b[p]
             if ap or bp:
-                row = [x + ap * y - bp * z for x, y, z in zip(row, b, a)]
-        form_row = [0] * k
-        if p < 2 * page.genus:
-            form_row[p ^ 1] = 1 if p % 2 == 0 else -1
+                row = [x + ap * y - bp * z for x, y, z in zip(row, b[p + 1:], a[p + 1:])]
+        form_row = [0] * (k - 1 - p)
+        if p < g2 and p % 2 == 0:
+            form_row[0] = 1
         if row != form_row:
             return False
     return True

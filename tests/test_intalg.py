@@ -6,6 +6,7 @@ import pytest
 from tribranch import (
     AbelianGroup,
     IntMatrix,
+    SurfaceSig,
     TribranchError,
     cokernel,
     determinantal_divisors,
@@ -15,7 +16,7 @@ from tribranch import (
 )
 from tribranch import intalg
 
-from genutils import make_rng, random_matrix
+from genutils import dense_monodromy, make_rng, random_matrix
 
 
 def oracle_invariant_factors(a: IntMatrix) -> list:
@@ -438,12 +439,65 @@ def test_unit_split_matches_snf_minor_and_laplace_oracles(monkeypatch):
 
 def test_fraction_free_drops_vanished_rows_without_changing_rank_or_minor():
     # Row 3 is row 1 + row 2: it vanishes after the second pivot, and D is
-    # the minor on rows 1, 2 and 4.
+    # the minor on rows 1, 2 and 4.  The last block is D alone, so G = D.
     rows = [[1, 2, 3], [0, 1, 4], [1, 3, 7], [2, 1, 1]]
-    rank, _, minor = intalg._fraction_free(rows)
+    rank, _, minor, block_gcd = intalg._fraction_free(rows)
     assert (rank, minor) == (3, laplace([rows[0], rows[1], rows[3]])) == (3, 7)
-    assert intalg._fraction_free([[0, 0], [0, 0]]) == (0, 1, 1)
+    assert block_gcd == 7
+    assert intalg._fraction_free([[0, 0], [0, 0]]) == (0, 1, 1, 1)
+    # The last block holds the 2 x 2 minors on rows 1-2 and 1-3, -8 and -12,
+    # so G = 4 = d_2 while D = -8.
+    assert intalg._fraction_free([[2, 4], [6, 8], [4, 2]]) == (2, 1, -8, 4)
     assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+
+
+def test_block_gcd_lies_between_the_last_divisor_and_the_pivot(monkeypatch):
+    rng = make_rng(28)
+    # Small matrices, a third of them products through a narrower middle
+    # so that the rank falls short of both sides: d_r | G | D.
+    short = 0
+    for i in range(300):
+        if i % 3:
+            a = random_matrix(rng, max_dim=5, lo=-6, hi=6)
+        else:
+            m, t, n = rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 5)
+            left = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(t)] for _ in range(m)])
+            right = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)])
+            a = left.mul(right)
+        rank, _, minor, block_gcd = intalg._fraction_free(a.entries)
+        if rank:
+            assert block_gcd % determinantal_divisors(a)[rank - 1] == 0, a
+            assert minor % block_gcd == 0, a
+        else:
+            assert block_gcd == 1, a
+        short += rank < min(a.rows, a.cols)
+    assert short >= 60, short
+    # Dense presentations as h1_open_book builds them, windings zero: the
+    # columns of M - 1 on the handle classes.  A zero shift or a handle past
+    # the shifts leaves a free summand, so the rank falls short of 2g.  The
+    # spy reads G and D on what the unit split left for the Bareiss pass.
+    fraction_free = intalg._fraction_free
+    seen = []
+    monkeypatch.setattr(intalg, "_fraction_free",
+                        lambda rows: seen.append(rows) or fraction_free(rows))
+    below = short = 0
+    for _ in range(150):
+        g, b = rng.randint(1, 3), rng.randint(1, 3)
+        shifts = [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(rng.randint(0, g))]
+        m = dense_monodromy(SurfaceSig(g, b), rng, shifts).matrix
+        a = IntMatrix.from_rows([[x - (i == j) for j, x in enumerate(row[:2 * g])]
+                                 for i, row in enumerate(m.entries)])
+        seen.clear()
+        factors = invariant_factors(a)
+        (rest,) = seen
+        assert factors == smith_normal_form(a).invariant_factors, a
+        assert list(factors) == oracle_invariant_factors(a), a
+        _, _, minor, block_gcd = fraction_free(rest)
+        below += block_gcd < abs(minor)
+        short += 0 in factors
+    # The pass modulo G, not modulo D, on a good share of the inputs.
+    assert below >= 30, below
+    assert short >= 100, short
 
 
 def test_from_rows_takes_integers_only():

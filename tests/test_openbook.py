@@ -77,6 +77,18 @@ def test_form_violation_detected():
     m = MonodromyH1(IntMatrix.from_rows([[1, 0], [0, -1]]))
     report = validate_monodromy(page, m)
     assert "intersection-form" in report.codes()
+    # diag(2, 1) on the handle block of F(1, 2): <2 a_1, b_1> = 2, so the
+    # only wrong entries of M^T J M are the pair's own (0, 1), just above
+    # the diagonal, and its mirror (1, 0).
+    page = SurfaceSig(1, 2)
+    mat = IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    j = intersection_form(page)
+    product = mat.transpose().mul(j).mul(mat)
+    assert [(p, q) for p in range(3) for q in range(3)
+            if product.entries[p][q] != j.entries[p][q]] == [(0, 1), (1, 0)]
+    assert not preserves_intersection_form(page, mat)
+    assert validate_monodromy(page, MonodromyH1(mat)).codes() == [
+        "intersection-form", "determinant"]
 
 
 def test_dimension_mismatch_detected():
