@@ -8,27 +8,36 @@ certificates built on top of it cannot be tolerance-based.
 matrix A, which is all ``cokernel`` needs.  Without A's zero rows and columns,
 the +-1 entries are split off over Z first: each clears its column by row
 steps, and its row and column go with one invariant factor 1 (Cohen, below).
-One fraction-free (Bareiss) pass over what is left, which drops the rows
-that vanish, gives its rank r, a nonzero r x r minor D and the gcd G of the
-block D is taken from; ``IntMatrix.det`` is the same pass on the whole
-matrix, which keeps the sign of D.  The rest is diagonalised over Z/GZ,
-where its entries stay below G (H. Cohen, A Course in Computational
-Algebraic Number Theory, 2.4; Domich, Kannan & Trotter, Math. Oper. Res.
-12, 1987); unit factors and G's skip the sort.  This is exact:
+One fraction-free (Bareiss) pass over what is left reads its rows in
+order, drops the rows that vanish and stops once its pivots span all the
+columns.  It gives the rank r, a nonzero r x r minor D and a modulus G:
+|D| itself at full column rank, else the gcd of the last pivot row and of
+the rows that pivot cleared.  ``IntMatrix.det`` is the same pass on the
+whole matrix, which also reads the sign of D off the pivot columns.  The
+rest is turned to its short side, no more rows than columns, and
+diagonalised over Z/GZ, where its entries stay below G (H. Cohen, A Course
+in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
+Math. Oper. Res. 12, 1987); a pivot that does not divide its row takes an
+extended-gcd column step, and unit factors and G's skip the sort.  This is
+exact:
 
 - a unit step is unimodular, so it keeps the cokernel, and after s of them
   every entry is an (s + 1) x (s + 1) minor of A divided by a pivot minor
   of +-1 (Sylvester's identity): no entry grows beyond what the Bareiss
   pass carries anyway;
-- every entry of the block D is taken from is an r x r minor (Sylvester's
+- D and every entry G is the gcd of are r x r minors (Sylvester's
   identity again), and every r x r minor is a multiple of s_1 ... s_r, so
   G is too: each nonzero s_i divides G and is gcd(s_i, G), which the
   diagonal over Z/GZ determines;
+- row and column steps with extended-gcd coefficients, and the transpose,
+  keep the invariant factors;
 - the rank is exact, so the zero factors s_{r+1}, ... (0 mod G, like G
   itself) are never read as G.
 
 G divides D; where the rank falls short of the column count it is often
-far smaller (README, "Cost of homology").
+far smaller (README, "Cost of homology").  At full column rank the rows
+after the last pivot could only bring G further down, and on the dense
+presentations the benchmark draws they do not, so they are never read.
 
 On a stabilized open book each boundary circle that stabilization added
 brings a winding column with a unit, so the Bareiss pass and the pass
@@ -216,35 +225,52 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 
 def _fraction_free(rows) -> tuple:
-    """Rank r, row-swap sign, last pivot D and block gcd G of one Bareiss elimination.
+    """Rank r, column-order sign, last pivot D and modulus G of a Bareiss pass.
 
-    Columns are taken left to right and a column with no pivot is skipped.
-    After each step the entries left are minors of the matrix (Bareiss, Math.
-    Comp. 22, 1968), so the division is exact and D is the nonzero r x r
-    minor on the pivot rows and columns.  G is the gcd of every entry of the
-    block that D is taken from; each of them is an r x r minor (Sylvester's
-    identity), so G is a multiple of the gcd of all r x r minors and divides
-    D.  D and G are 1 when r = 0.
-    A vanished row stays zero and is dropped: r and D keep, and the sign
-    can change only where r is below the row count and the determinant is 0.
+    The rows are read in order and each is reduced by the pivot rows found
+    before it with Bareiss' exact divisions (Math. Comp. 22, 1968): after k
+    steps its entries are the (k + 1) x (k + 1) minors on the first k pivot
+    rows, itself, the first k pivot columns and one more column.  A row left
+    nonzero becomes the next pivot row at its first nonzero entry, so D is
+    the nonzero r x r minor on the pivot rows and columns.  No row is
+    swapped: the sign is (-1)^(sum of k), k being each pivot's position
+    among the columns still free, so sign * D is the determinant of a
+    square matrix of full rank.  Once r is the column count no later row
+    is read and G = |D|, a nonzero r x r minor and so a multiple of the gcd
+    of all of them.  Otherwise G is the gcd of the last pivot row and of
+    the rows that the last pivot reduced to zero, both before that step:
+    each entry is an r x r minor (Sylvester's identity), so again G is a
+    multiple of the gcd of all r x r minors, and it divides D.  D and G
+    are 1 when r = 0.  A row that vanishes stays zero and is dropped; a row
+    an earlier pivot cleared would add only zero minors to G.
     """
-    block = [list(row) for row in rows]
-    rank, sign, minor, last = 0, 1, 1, [[1]]
-    while block and block[0]:
-        k = next((i for i, row in enumerate(block) if row[0]), None)
-        if k is None:
-            block = [row[1:] for row in block]
-            continue
-        if k:
-            block[0], block[k] = block[k], block[0]
-            sign = -sign
-        top = block[0]
-        p, tail = top[0], top[1:]
-        last = block
-        block = list(filter(any, [[(x * p - row[0] * y) // minor
-                                   for x, y in zip(row[1:], tail)] for row in block[1:]]))
-        rank, minor = rank + 1, p
-    return rank, sign, minor, gcd(*[x for row in last for x in row])
+    pivots, sign, minor = [], 1, 1
+    for row in rows:
+        cols = len(row)
+        if not cols:
+            break
+        x, prev = list(row), 1
+        for pos, p, tail in pivots:
+            c = x.pop(pos)
+            before, x = x, [(p * a - c * b) // prev for a, b in zip(x, tail)]
+            if not any(x):
+                # Cleared by the last pivot, not by an earlier one.
+                if tail is last:
+                    cleared = gcd(cleared, c, *before)
+                break
+            prev = p
+        else:
+            pos = next((j for j, a in enumerate(x) if a), None)
+            if pos is None:
+                continue
+            if pos % 2:
+                sign = -sign
+            minor = x.pop(pos)
+            pivots.append((pos, minor, x))
+            if len(pivots) == cols:
+                return cols, sign, minor, abs(minor)
+            last, cleared = x, abs(minor)
+    return len(pivots), sign, minor, gcd(cleared, *last) if pivots else 1
 
 
 def _drop_zero_lines(rows) -> list:
@@ -280,13 +306,18 @@ def invariant_factors(a: IntMatrix) -> tuple:
     and clears the column, since p * p = 1.  p's row and column are dropped
     with one factor 1, and so is every row that vanished; the units go
     first in the chain and count towards the rank.  One
-    :func:`_fraction_free` pass over the rest gives its rank r and the gcd
-    G of the block its last pivot is taken from, a multiple of s_1 ... s_r
-    (see the module docstring).  Rows and columns zero modulo G are dropped
-    too, and the rest is diagonalised over Z/GZ by extended-gcd row steps,
-    each row that vanishes dropped; a pivot that does not divide its row is
-    cleared the same way after a transpose, which keeps the invariant
-    factors.  Each diagonal entry d stands for gcd(d, G), the positions left
+    :func:`_fraction_free` pass over the rest gives its rank r and a
+    multiple G of s_1 ... s_r: |D| for its last pivot D when r is the
+    column count, where the pass stops, else the gcd of the last pivot row
+    and the rows it cleared (see the module docstring).  Rows and columns
+    zero modulo G are dropped too.  The rest is transposed if it has more
+    rows than columns, which keeps the invariant factors, and diagonalised
+    over Z/GZ by extended-gcd row steps, each row that vanishes dropped.
+    Where the pivot p does not divide an entry t of its row, one
+    extended-gcd column step on p's column and t's, unimodular like the
+    row steps, puts gcd(p, t) in the pivot and clears t; the row steps then
+    start over on the pivot column.  Each diagonal entry d stands for
+    gcd(d, G), the positions left
     over for G.  All of them divide G: the unit factors go first, the G's
     last, and gcd/lcm pairs sort the rest into a divisibility chain whose
     first r entries are s_1..s_r.
@@ -307,6 +338,8 @@ def invariant_factors(a: IntMatrix) -> tuple:
     rank, _, _, d = _fraction_free(block)
     rank += units
     block = _drop_zero_lines([[x % d for x in row] for row in block])
+    if block and len(block) > len(block[0]):
+        block = [list(col) for col in zip(*block)]
     chain = []
     while True:
         pos = next(((i, j) for i, row in enumerate(block)
@@ -327,9 +360,17 @@ def invariant_factors(a: IntMatrix) -> tuple:
                     block[i] = [(u * s - v * t) % d for s, t in zip(top, row)]
                     if y:
                         top = block[0] = [(x * s + y * t) % d for s, t in zip(top, row)]
-            if not any(x % top[0] for x in top[1:]):
+            p = top[0]
+            if not any(x % p for x in top):
                 break
-            block = [list(col) for col in zip(*block)]
+            for j in range(1, len(top)):
+                if top[j] % p:
+                    g, x, y = _bezout(p, top[j])
+                    u, v = top[j] // g, p // g
+                    for row in block:
+                        s, t = row[0], row[j]
+                        row[0], row[j] = (x * s + y * t) % d, (u * s - v * t) % d
+                    p = g
         chain.append(gcd(top[0], d))
         block = [row[1:] for row in block[1:] if any(row)]
     mid = [x for x in chain if 1 < x < d]

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from math import gcd
 
@@ -247,14 +248,24 @@ def test_transpose_keeps_empty_shapes():
 def test_determinant_bareiss():
     assert IntMatrix.identity(3).det() == 1
     assert IntMatrix(0, 0, ()).det() == 1
-    assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    # Pivots that leave column order: no row is swapped, and the sign comes
+    # from each pivot's position among the columns still free.
+    for rows, det in [([[0, 1], [1, 0]], -1),
+                      ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+                      ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+                      ([[0, 2, 1], [0, 0, 3], [4, 1, 0]], 24)]:
+        assert IntMatrix.from_rows(rows).det() == laplace(rows) == det, rows
     rng = make_rng(23)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        )
-        assert a.det() == laplace([list(r) for r in a.entries])
+    for i in range(90):
+        n = rng.randint(1, 4) if i < 30 else rng.randint(2, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if i >= 30:
+            # Rows that start with zeros, so pivots land right of the diagonal.
+            for row in rows:
+                k = rng.randint(0, n - 1)
+                row[:k] = [0] * k
+        a = IntMatrix.from_rows(rows)
+        assert a.det() == laplace([list(r) for r in a.entries]), rows
 
 
 def test_determinant_of_singular_and_non_square_matrices():
@@ -439,16 +450,154 @@ def test_unit_split_matches_snf_minor_and_laplace_oracles(monkeypatch):
 
 def test_fraction_free_drops_vanished_rows_without_changing_rank_or_minor():
     # Row 3 is row 1 + row 2: it vanishes after the second pivot, and D is
-    # the minor on rows 1, 2 and 4.  The last block is D alone, so G = D.
+    # the minor on rows 1, 2 and 4.  The rank reaches the column count
+    # there and the pass stops, so G = |D|.
     rows = [[1, 2, 3], [0, 1, 4], [1, 3, 7], [2, 1, 1]]
     rank, _, minor, block_gcd = intalg._fraction_free(rows)
     assert (rank, minor) == (3, laplace([rows[0], rows[1], rows[3]])) == (3, 7)
     assert block_gcd == 7
     assert intalg._fraction_free([[0, 0], [0, 0]]) == (0, 1, 1, 1)
-    # The last block holds the 2 x 2 minors on rows 1-2 and 1-3, -8 and -12,
-    # so G = 4 = d_2 while D = -8.
-    assert intalg._fraction_free([[2, 4], [6, 8], [4, 2]]) == (2, 1, -8, 4)
+    # Full column rank after two rows: the third is never read, so G = |D|
+    # although the 2 x 2 minors on rows 1-2 and 1-3, -8 and -12, have gcd 4.
+    assert intalg._fraction_free([[2, 4], [6, 8], [4, 2]]) == (2, 1, -8, 8)
+    # Rank 2 of 3 columns: the last pivot row [0, -8, -8] and the row it
+    # clears, [0, -12, -12] before that step, give G = 4 = d_2 while D = -8.
+    assert intalg._fraction_free([[2, 4, 6], [6, 8, 14], [4, 2, 6]]) == (2, 1, -8, 4)
     assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+
+
+class _CountedRows(list):
+    """Rows that count how many of them an iteration has read."""
+
+    read = 0
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.read += 1
+            yield row
+
+
+def _rank(rows) -> int:
+    return sum(1 for d in smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors if d)
+
+
+def _fraction_free_by_minors(rows) -> tuple:
+    """(r, sign, D, G) of the row-by-row Bareiss pass, from minors alone.
+
+    A row is a pivot row when it is not in the span of the rows before it,
+    and its pivot column is the first free column j where the minor on the
+    pivot rows so far, the earlier pivot columns and j is nonzero.  At full
+    column rank G = |D|; otherwise G is the gcd, over every row x and
+    column j, of the minor on the first r - 1 pivot rows and x, the first
+    r - 1 pivot columns and j.
+    """
+    def minor(rs, cs):
+        return laplace([[row[j] for j in cs] for row in rs])
+
+    n = len(rows[0])
+    pivots, cols, sign = [], [], 1
+    for row in rows:
+        if _rank(pivots + [row]) > len(pivots):
+            pivots.append(row)
+            free = [j for j in range(n) if j not in cols]
+            j = next(j for j in free if minor(pivots, cols + [j]))
+            sign *= (-1) ** free.index(j)
+            cols.append(j)
+    r = len(pivots)
+    if not r:
+        return 0, 1, 1, 1
+    d = minor(pivots, cols)
+    if r == n:
+        return r, sign, d, abs(d)
+    g = 0
+    for x in rows:
+        for j in range(n):
+            if j not in cols[:-1]:
+                g = gcd(g, minor(pivots[:-1] + [x], cols[:-1] + [j]))
+    return r, sign, d, g
+
+
+def test_fraction_free_reads_no_row_past_full_column_rank():
+    # Full column rank after rows 1 and 3 (row 2 vanishes): rows 4 and 5
+    # are never read, and G = |D|.
+    rows = _CountedRows([[2, 4], [3, 6], [6, 8], [4, 2], [1, 1]])
+    assert intalg._fraction_free(rows) == (2, 1, -8, 8)
+    assert rows.read == 3
+    # Short of full column rank, every row is read.
+    for entries in ([[1, 2], [2, 4], [3, 6], [4, 8]],
+                    [[2, 4, 6], [6, 8, 14], [4, 2, 6]],
+                    [[0, 0, 0], [0, 2, 0], [0, 0, 0]]):
+        rows = _CountedRows(entries)
+        assert intalg._fraction_free(rows)[0] == _rank(entries) < len(entries[0])
+        assert rows.read == len(entries)
+    # Seeded tall matrices: the pass stops at the first prefix of full
+    # column rank, or reads all rows when there is none, and its sign, D
+    # and G are the ones its pivot rows and columns give by minors.
+    rng = make_rng(30)
+    stopped = short = 0
+    for i in range(180):
+        n = rng.randint(1, 4)
+        entries = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(n)]
+                   for _ in range(n + rng.randint(1, 4))]
+        if i % 3 == 0:
+            # A product through a middle of width t has rank at most t.
+            t = rng.randint(1, n)
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)]
+            entries = [[sum(row[s] * right[s][j] for s in range(t)) for j in range(n)]
+                       for row in entries]
+        rows = _CountedRows(entries)
+        out = intalg._fraction_free(rows)
+        assert out == _fraction_free_by_minors(entries), entries
+        full = next((k for k in range(1, len(entries) + 1) if _rank(entries[:k]) == n), None)
+        assert rows.read == (full or len(entries)), entries
+        stopped += full is not None and full < len(entries)
+        short += 0 < out[0] < n
+    assert stopped >= 100, stopped
+    assert short >= 30, short
+
+
+def test_tall_full_rank_stops_at_the_first_square_and_steps_columns(monkeypatch):
+    # Tall matrices without +-1 entries, whose first n rows are a square B
+    # of nonzero determinant: the unit split takes nothing, the Bareiss
+    # pass reads n rows and the pass modulo G runs modulo |det B|, though
+    # the later rows often bring the gcd d_n of all n x n minors below it.
+    fraction_free, bezout = intalg._fraction_free, intalg._bezout
+    reads = []
+
+    def counted(rows):
+        rows = _CountedRows(rows)
+        out = fraction_free(rows)
+        reads.append(rows.read)
+        return out
+
+    # The second call of _bezout in invariant_factors is the column step.
+    lines, start = inspect.getsourcelines(intalg.invariant_factors)
+    row_site, column_site = [start + k for k, line in enumerate(lines) if "_bezout(" in line]
+    sites = []
+    monkeypatch.setattr(intalg, "_fraction_free", counted)
+    monkeypatch.setattr(intalg, "_bezout",
+                        lambda a, b: sites.append(sys._getframe(1).f_lineno) or bezout(a, b))
+    rng = make_rng(29)
+    values = (0, 2, -2, 3, -3, 4, 5, -6, 7, 9, -10)
+    below = stepped = 0
+    for _ in range(120):
+        n, extra = rng.randint(2, 5), rng.randint(1, 4)
+        square = None
+        while not square or not IntMatrix.from_rows(square).det():
+            square = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        a = IntMatrix.from_rows(square + [[rng.choice(values) for _ in range(n)]
+                                          for _ in range(extra)])
+        reads.clear()
+        sites.clear()
+        factors = invariant_factors(a)
+        assert reads == [n], a
+        assert set(sites) <= {row_site, column_site}, a
+        assert factors == smith_normal_form(a).invariant_factors, a
+        assert list(factors) == oracle_invariant_factors(a), a
+        below += determinantal_divisors(a)[-1] < abs(IntMatrix.from_rows(square).det())
+        stepped += column_site in sites
+    assert below >= 100, below
+    assert stepped >= 90, stepped
 
 
 def test_block_gcd_lies_between_the_last_divisor_and_the_pivot(monkeypatch):

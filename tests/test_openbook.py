@@ -332,7 +332,7 @@ def _dense_conjugate_h1(rng, g, b, shifts):
     return h1, time.perf_counter() - begin
 
 
-def test_h1_of_dense_rank_60_conjugate_in_closed_form():
+def test_h1_of_dense_rank_60_conjugate_in_closed_form(monkeypatch):
     # The two zero shifts add to the free rank, and the other torsion orders
     # already divide one another in sorted order.
     shifts = [0, 0, 1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1]
@@ -340,6 +340,25 @@ def test_h1_of_dense_rank_60_conjugate_in_closed_form():
     assert h1 == AbelianGroup(20 + 2, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
     # Carrying the transforms U and V takes over 20 s here.
     assert spent < 10.0, f"H_1 at rank 60 took {spent:.2f}s"
+    # No zero shift: the 40 handle columns have full rank, so the Bareiss
+    # pass stops before it has read all of its rows, and the pass modulo G
+    # runs modulo |D|.
+    fraction_free = intalg._fraction_free
+    passes = []
+
+    def counted(rows):
+        read = []
+        out = fraction_free(read.append(row) or row for row in rows)
+        passes.append((len(read), len(rows), len(rows[0]), out[0]))
+        return out
+
+    monkeypatch.setattr(intalg, "_fraction_free", counted)
+    shifts = [1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1, -1, 1]
+    h1, spent = _dense_conjugate_h1(make_rng(35), 20, 21, shifts)
+    assert h1 == AbelianGroup(20, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
+    assert spent < 10.0, f"H_1 at rank 60 took {spent:.2f}s"
+    (read, rows, cols, rank), = passes
+    assert rank == cols and read < rows, passes[0]
 
 
 def test_h1_of_dense_rank_80_conjugate_in_closed_form():
