@@ -10,10 +10,14 @@ the +-1 entries are split off over Z first: each clears its column by row
 steps, and its row and column go with one invariant factor 1 (Cohen, below).
 One fraction-free (Bareiss) pass over what is left reads its rows in
 order, drops the rows that vanish and stops once its pivots span all the
-columns.  It gives the rank r, a nonzero r x r minor D and a modulus G:
-|D| itself at full column rank, else the gcd of the last pivot row and of
-the rows that pivot cleared.  ``IntMatrix.det`` is the same pass on the
-whole matrix, which also reads the sign of D off the pivot columns.  The
+columns.  Once its last pivot has cleared a row, it tests each later row
+against a basis of the pivot rows' kernel over Q, formed once by exact
+back-substitution, and skips the rows in their span instead of reducing
+them; the first row outside it is reduced, and the test ends.  The pass
+gives the rank r, a nonzero r x r minor D and a modulus G: |D| itself at
+full column rank, else the gcd of the last pivot row and of the rows that
+pivot cleared.  ``IntMatrix.det`` is the same pass on the whole matrix,
+which also reads the sign of D off the pivot columns.  The
 rest is turned to its short side, no more rows than columns, and
 diagonalised over Z/GZ, where its entries stay below G (H. Cohen, A Course
 in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
@@ -38,6 +42,9 @@ G divides D; where the rank falls short of the column count it is often
 far smaller (README, "Cost of homology").  At full column rank the rows
 after the last pivot could only bring G further down, and on the dense
 presentations the benchmark draws they do not, so they are never read.
+A row skipped by the kernel test would add only r x r minors to the gcd,
+so G without it is still a multiple of s_1 ... s_r; it can be larger than
+with it, never smaller, and the rank and D do not depend on it.
 
 On a stabilized open book each boundary circle that stabilization added
 brings a winding column with a unit, so the Bareiss pass and the pass
@@ -54,7 +61,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from .errors import TribranchError
 
@@ -237,18 +244,36 @@ def _fraction_free(rows) -> tuple:
     among the columns still free, so sign * D is the determinant of a
     square matrix of full rank.  Once r is the column count no later row
     is read and G = |D|, a nonzero r x r minor and so a multiple of the gcd
-    of all of them.  Otherwise G is the gcd of the last pivot row and of
+    of all of them.
+
+    The first time a row is cleared by the last pivot so far, the pivot
+    rows are likely to be all of them, and each later row x is tested
+    instead of reduced (see :func:`_pivot_kernel`): x . v = 0 for every
+    vector v of a basis of the pivot rows' kernel over Q means that x lies
+    in their rational span, where the reduction would clear it, so x is
+    skipped.  The first x that fails the test raises the rank; it is
+    reduced as before, and the pass goes on without the test.  The test
+    costs one back-substitution, O(r^2 (n - r)) for n columns, and
+    O(n (n - r)) per row, against O(r n) to reduce a row.
+
+    Short of full column rank G is the gcd of the last pivot row and of
     the rows that the last pivot reduced to zero, both before that step:
     each entry is an r x r minor (Sylvester's identity), so again G is a
-    multiple of the gcd of all r x r minors, and it divides D.  D and G
-    are 1 when r = 0.  A row that vanishes stays zero and is dropped; a row
-    an earlier pivot cleared would add only zero minors to G.
+    multiple of the gcd of all r x r minors, and it divides D.  A skipped
+    row adds nothing to G, which can only make G larger than a pass that
+    reduces every row.  D and G are 1 when r = 0.  A row that vanishes
+    stays zero and is dropped; a row an earlier pivot cleared would add
+    only zero minors to G.
     """
-    pivots, sign, minor = [], 1, 1
+    pivots, sign, minor, kernel = [], 1, 1, None
     for row in rows:
         cols = len(row)
         if not cols:
             break
+        if kernel:
+            if not any(sum(map(mul, row, v)) for v in kernel):
+                continue
+            kernel = ()
         x, prev = list(row), 1
         for pos, p, tail in pivots:
             c = x.pop(pos)
@@ -257,6 +282,8 @@ def _fraction_free(rows) -> tuple:
                 # Cleared by the last pivot, not by an earlier one.
                 if tail is last:
                     cleared = gcd(cleared, c, *before)
+                    if kernel is None:
+                        kernel = _pivot_kernel(pivots, cols)
                 break
             prev = p
         else:
@@ -271,6 +298,47 @@ def _fraction_free(rows) -> tuple:
                 return cols, sign, minor, abs(minor)
             last, cleared = x, abs(minor)
     return len(pivots), sign, minor, gcd(cleared, *last) if pivots else 1
+
+
+def _pivot_kernel(pivots, cols) -> list:
+    """A basis of the kernel over Q of the pivot rows of :func:`_fraction_free`.
+
+    The pivot rows are in echelon form: row i is 0 at the pivot columns
+    c_0, ..., c_(i-1), holds its pivot p_i at c_i and its tail after it.
+    Each is a rational combination of the input rows it came from, and
+    the other way round, so they have the same kernel.  Each column f that
+    holds no pivot gives one vector v, D (the last pivot) at f and 0 at
+    the other such columns, filled in reverse order at the pivot columns
+    by back-substitution, v[c_i] = -(tail_i . v) / p_i.  Each division is
+    exact: v at the pivot columns solves A_P u = -D a_f, with A_P the
+    input pivot rows at the pivot columns in pivot order, whose
+    determinant is D, and a_f their column f, so by Cramer's rule u is an
+    integer vector.  A remainder is an error all the same, never an
+    assert.  The n - r vectors are independent, each the only one nonzero
+    at its own column f, and annihilate the r independent pivot rows, so
+    they span the kernel.  The back-substitution costs O(r^2) per vector.
+    """
+    free, placed = list(range(cols)), []
+    for pos, p, tail in pivots:
+        placed.append((free.pop(pos), p, dict(zip(free, tail))))
+    on = [c for c, _, _ in placed]
+    d = pivots[-1][1]
+    # Row i at the pivot columns, in pivot order: 0 up to and at c_i.
+    steps = [(p, [tail.get(c, 0) for c in on], tail) for _, p, tail in placed]
+    basis = []
+    for f in free:
+        u = [0] * len(on)
+        for i in reversed(range(len(on))):
+            p, at_pivots, tail = steps[i]
+            u[i], rem = divmod(-sum(map(mul, at_pivots, u)) - tail[f] * d, p)
+            if rem:
+                raise TribranchError("inexact back-substitution in the pivots' kernel")
+        v = [0] * cols
+        v[f] = d
+        for c, x in zip(on, u):
+            v[c] = x
+        basis.append(v)
+    return basis
 
 
 def _drop_zero_lines(rows) -> list:

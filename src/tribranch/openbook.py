@@ -156,23 +156,41 @@ def preserves_intersection_form(page: SurfaceSig, mat: IntMatrix) -> bool:
     Entry (p, q) of M^T J M is the intersection number of columns p and q
     of the k x k matrix M.  Only the g symplectic pairs of rows (a_i, b_i)
     contribute to it, so row p is the sum over i of
-    M[a_i][p] * M[b_i] - M[b_i][p] * M[a_i].  M^T J M is antisymmetric for
-    every M, as J is: its diagonal is 0 and its lower triangle is minus the
-    upper one, so only the entries q > p of row p are computed, and J's only
-    upper entries are +1 at (a_i, b_i).  That is O(g k^2) in all, against
-    the O(k^3) of two generic products.
+    a_i[p] * b_i - b_i[p] * a_i.  Each row is compared packed: the row x
+    stands for the integer [x] = sum over j of x[j] * 2^(s j) (Kronecker
+    substitution), so packed row p is the sum over i of
+    a_i[p] * [b_i] - b_i[p] * [a_i], 2g integer multiply-adds, and it is
+    compared with J's packed row p.  With B the largest |entry| of the
+    rows a_i and b_i and s = 2 bitlen(B) + bitlen(2g) + 2, every entry on
+    both sides is at most 2g B^2 < 2^(s - 2) in absolute value.  An integer
+    has exactly one digit vector in base 2^s with digits in
+    [-2^(s - 1), 2^(s - 1)), so equal packed rows mean equal rows.  M^T J M
+    is antisymmetric for every M, as J is, so its last row follows from the
+    others and is not compared.
     """
-    k, g2 = mat.rows, 2 * page.genus
-    pairs = [(mat.entries[2 * i], mat.entries[2 * i + 1]) for i in range(page.genus)]
+    k, g = mat.rows, page.genus
+    pairs = [(mat.entries[2 * i], mat.entries[2 * i + 1]) for i in range(g)]
+    bound = max([max(map(abs, row)) for pair in pairs for row in pair], default=0)
+    s = 2 * bound.bit_length() + (2 * g).bit_length() + 2
+
+    def packed(row) -> int:
+        out = 0
+        for x in reversed(row):
+            out = (out << s) + x
+        return out
+
+    handles = [(a, b, packed(a), packed(b)) for a, b in pairs]
     for p in range(k - 1):
-        row = [0] * (k - 1 - p)
-        for a, b in pairs:
-            ap, bp = a[p], b[p]
-            if ap or bp:
-                row = [x + ap * y - bp * z for x, y, z in zip(row, b[p + 1:], a[p + 1:])]
-        form_row = [0] * (k - 1 - p)
-        if p < g2 and p % 2 == 0:
-            form_row[0] = 1
+        row = 0
+        for a, b, pa, pb in handles:
+            row += a[p] * pb - b[p] * pa
+        # J's row p: +1 at b_i for p = a_i, -1 at a_i for p = b_i.
+        if p >= 2 * g:
+            form_row = 0
+        elif p % 2:
+            form_row = -(1 << s * (p - 1))
+        else:
+            form_row = 1 << s * (p + 1)
         if row != form_row:
             return False
     return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
 
 from tribranch import (
     A_MOVE,
@@ -216,3 +217,28 @@ def random_outer_spec(rng, g_max=2, b_max=4, max_moves=6) -> OpenBookSpec:
         monodromy=random_monodromy(page, rng),
         pants_path=path,
     )
+
+
+class _TracedRow(list):
+    """A row that logs who reads it: the reduction lists it in
+    ``_fraction_free`` itself, the kernel test reads it in a generator."""
+
+    def __init__(self, row, index, log):
+        super().__init__(row)
+        self.index, self.log = index, log
+
+    def __iter__(self):
+        self.log.append((self.index, sys._getframe(1).f_code.co_name))
+        return super().__iter__()
+
+
+def traced_rows(rows, log) -> list:
+    """The rows as ``_TracedRow``s, each logging (its index, the reader) to ``log``."""
+    return [_TracedRow(row, i, log) for i, row in enumerate(rows)]
+
+
+def rows_tested_and_reduced(log) -> tuple:
+    """The indices of the rows the kernel test read, and of those reduced."""
+    tested = sorted({i for i, who in log if who == "<genexpr>"})
+    reduced = sorted({i for i, who in log if who == "_fraction_free"})
+    return tested, reduced

@@ -17,7 +17,13 @@ from tribranch import (
 )
 from tribranch import intalg
 
-from genutils import dense_monodromy, make_rng, random_matrix
+from genutils import (
+    dense_monodromy,
+    make_rng,
+    random_matrix,
+    rows_tested_and_reduced,
+    traced_rows,
+)
 
 
 def oracle_invariant_factors(a: IntMatrix) -> list:
@@ -487,28 +493,36 @@ def _fraction_free_by_minors(rows) -> tuple:
     A row is a pivot row when it is not in the span of the rows before it,
     and its pivot column is the first free column j where the minor on the
     pivot rows so far, the earlier pivot columns and j is nonzero.  At full
-    column rank G = |D|; otherwise G is the gcd, over every row x and
-    column j, of the minor on the first r - 1 pivot rows and x, the first
-    r - 1 pivot columns and j.
+    column rank G = |D|; otherwise G is the gcd, over rows x and columns j,
+    of the minor on the first r - 1 pivot rows and x, the first r - 1 pivot
+    columns and j.  The rows x are all rows, unless the first row that the
+    last pivot so far clears (in the span of the k pivots before it, and
+    not of the first k - 1 when k > 1) has the final rank r in its prefix:
+    then they are that prefix, and the rows after it are skipped.
     """
     def minor(rs, cs):
         return laplace([[row[j] for j in cs] for row in rs])
 
     n = len(rows[0])
-    pivots, cols, sign = [], [], 1
-    for row in rows:
-        if _rank(pivots + [row]) > len(pivots):
+    pivots, cols, sign, trigger = [], [], 1, None
+    for i, row in enumerate(rows):
+        k = len(pivots)
+        if _rank(pivots + [row]) > k:
             pivots.append(row)
             free = [j for j in range(n) if j not in cols]
             j = next(j for j in free if minor(pivots, cols + [j]))
             sign *= (-1) ** free.index(j)
             cols.append(j)
+        elif trigger is None and k and (k == 1 or _rank(pivots[:-1] + [row]) == k):
+            trigger = i
     r = len(pivots)
     if not r:
         return 0, 1, 1, 1
     d = minor(pivots, cols)
     if r == n:
         return r, sign, d, abs(d)
+    if trigger is not None and _rank(rows[:trigger + 1]) == r:
+        rows = rows[:trigger + 1]
     g = 0
     for x in rows:
         for j in range(n):
@@ -548,12 +562,82 @@ def test_fraction_free_reads_no_row_past_full_column_rank():
         rows = _CountedRows(entries)
         out = intalg._fraction_free(rows)
         assert out == _fraction_free_by_minors(entries), entries
+        rank, _, minor, block_gcd = out
+        divisors = determinantal_divisors(IntMatrix.from_rows(entries))
+        if rank:
+            assert block_gcd % divisors[rank - 1] == 0 and minor % block_gcd == 0, entries
         full = next((k for k in range(1, len(entries) + 1) if _rank(entries[:k]) == n), None)
         assert rows.read == (full or len(entries)), entries
         stopped += full is not None and full < len(entries)
         short += 0 < out[0] < n
     assert stopped >= 100, stopped
     assert short >= 30, short
+
+
+def test_rows_in_the_pivots_span_are_tested_not_reduced():
+    # A prefix of rank t < n with a row in the span of the others, so the
+    # last pivot clears a row and the kernel is formed; then rows in the
+    # span, which are skipped, and a row outside it, which is reduced and
+    # ends the test; then a few rows of either kind.
+    rng = make_rng(31)
+    skipped = fell_back = 0
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        t = rng.randint(1, n - 1)
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(t)]
+        while _rank(right) < t:
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(t)]
+
+        def in_span():
+            coeffs = [rng.randint(-3, 3) for _ in range(t)]
+            return [sum(c * row[j] for c, row in zip(coeffs, right)) for j in range(n)]
+
+        entries = [list(row) for row in right] + [in_span() for _ in range(rng.randint(1, 2))]
+        rng.shuffle(entries)
+        entries += [in_span() for _ in range(rng.randint(0, 3))]
+        outside = in_span()
+        while _rank(entries + [outside]) == _rank(entries):
+            outside = [rng.randint(-6, 6) for _ in range(n)]
+        entries.append(outside)
+        entries += [rng.choice((in_span(), [rng.randint(-6, 6) for _ in range(n)]))
+                    for _ in range(rng.randint(0, 2))]
+        log = []
+        out = intalg._fraction_free(traced_rows(entries, log))
+        assert out == _fraction_free_by_minors(entries), entries
+        tested, reduced = rows_tested_and_reduced(log)
+        # A row the test passes is never reduced; the first it fails is,
+        # and the test reads no row after it.
+        passed = [i for i in tested if i not in reduced]
+        failed = [i for i in tested if i in reduced]
+        assert len(failed) <= 1 and all(i < j for i in passed for j in failed), entries
+        if failed:
+            assert tested == list(range(tested[0], failed[0] + 1)), entries
+        skipped += bool(passed)
+        fell_back += bool(failed)
+        a = IntMatrix.from_rows(entries)
+        factors = invariant_factors(a)
+        assert factors == smith_normal_form(a).invariant_factors, entries
+        assert list(factors) == oracle_invariant_factors(a), entries
+    assert skipped >= 90, skipped
+    assert fell_back >= 120, fell_back
+
+
+def test_kernel_back_substitution_is_exact_or_an_error():
+    # The pivot rows of [[2, 4, 6], [4, 4, 4]] are [2, 4, 6] and [0, -8, -16];
+    # their kernel is spanned by (1, -2, 1), and with v = D = -8 at the free
+    # column the back-substitution gives (-8, 16, -8).
+    pivots = [(0, 2, [4, 6]), (0, -8, [-16])]
+    assert intalg._pivot_kernel(pivots, 3) == [[-8, 16, -8]]
+    # The third row is cleared by the last pivot and forms the kernel; the
+    # fourth passes the test and is skipped.
+    log = []
+    rows = traced_rows([[2, 4, 6], [4, 4, 4], [6, 8, 10], [1, 2, 3]], log)
+    assert intalg._fraction_free(rows) == (2, 1, -8, 8)
+    assert rows_tested_and_reduced(log) == ([3], [0, 1, 2])
+    # Pivot rows that no pass makes leave a remainder: an error, not a
+    # wrong basis (and not an assert, which python -O would strip).
+    with pytest.raises(TribranchError, match="inexact"):
+        intalg._pivot_kernel([(0, 2, [1, 0]), (0, 3, [1])], 3)
 
 
 def test_tall_full_rank_stops_at_the_first_square_and_steps_columns(monkeypatch):

@@ -35,7 +35,14 @@ from tribranch.openbook import (
     preserves_intersection_form,
 )
 
-from genutils import dense_monodromy, make_rng, random_monodromy, random_page
+from genutils import (
+    dense_monodromy,
+    make_rng,
+    random_monodromy,
+    random_page,
+    rows_tested_and_reduced,
+    traced_rows,
+)
 from oracles import h1_presentation
 
 
@@ -174,6 +181,74 @@ def test_form_check_agrees_with_generic_product():
         guarded += kind == "moved" and not generic
     assert min(seen.values()) >= 30, seen
     assert guarded >= 10, guarded
+
+
+def _packs_equal(page, mat, width) -> bool:
+    """Whether every compared row of M^T J M packs to J's row at ``width`` bits."""
+    def packed(row):
+        return sum(x << width * j for j, x in enumerate(row))
+
+    product = mat.transpose().mul(intersection_form(page)).mul(mat)
+    return all(packed(x) == packed(y) for x, y in
+               zip(product.entries[:-1], intersection_form(page).entries))
+
+
+def test_packed_form_check_equals_the_explicit_product():
+    # Dense valid actions (entries past 10^6 from P D P^-1), actions with
+    # entries past 2^100, and single-entry perturbations of both; genus 0
+    # and moved boundary classes, which keep the check on all of M.
+    rng = make_rng(37)
+    seen = {True: 0, False: 0}
+    huge = moved = 0
+    for _ in range(240):
+        page = SurfaceSig(rng.randint(0, 4), rng.randint(1, 4))
+        k, g2 = h1_rank(page), 2 * page.genus
+        j = intersection_form(page)
+        if rng.random() < 0.5:
+            shifts = [rng.choice((0, 1, 2, 4)) for _ in range(rng.randint(0, page.genus))]
+            mat = dense_monodromy(page, rng, shifts).matrix
+        else:
+            mat = IntMatrix.identity(k)
+            for _ in range(2):
+                c = [rng.choice((0, 1, -1)) * rng.getrandbits(52) for _ in range(k)]
+                mat = mat.mul(transvection(j, c))
+            huge += max((abs(x) for row in mat.entries for x in row), default=0) >= 2 ** 100
+        rows = [list(row) for row in mat.entries]
+        kind = rng.choice(("valid", "perturbed", "moved"))
+        if k and kind == "perturbed":
+            rows[rng.randrange(k)][rng.randrange(k)] += rng.choice((-1, 1, 2, 3 << 60))
+        elif kind == "moved" and k > g2:
+            rows[rng.randrange(k)][rng.randrange(g2, k)] += rng.choice((-1, 1))
+            moved += 1
+        mat = IntMatrix.from_rows(rows) if rows else mat
+        generic = mat.transpose().mul(j).mul(mat) == j
+        assert preserves_intersection_form(page, mat) == generic, (page, rows)
+        seen[generic] += 1
+        report = validate_monodromy(page, MonodromyH1(mat))
+        assert [(e.code, e.message) for e in report.entries] == _generic_validation(page, mat)
+    assert min(seen.values()) >= 60, seen
+    assert huge >= 60, huge
+    assert moved >= 40, moved
+
+
+def test_packed_form_check_has_no_alias():
+    # A two-entry perturbation of a valid action on F(1, 2) that moves c_1.
+    # Row 0 of M^T J M is [0, 5, -2] against J's [0, 1, 0] and row 1 is
+    # [-5, 0, 1] against [-1, 0, 0]: packed 1 bit wide, 5 * 2 - 2 * 4 and
+    # -5 + 1 * 4 equal 2 and -1, the packed rows of J.  The check packs
+    # s = 2 * bitlen(2) + bitlen(2) + 2 = 8 bits wide and sees the difference.
+    page = SurfaceSig(1, 2)
+    valid = IntMatrix.from_rows([[0, -1, 0], [1, 2, 0], [-1, -1, 1]])
+    assert validate_monodromy(page, MonodromyH1(valid)).ok
+    mat = IntMatrix.from_rows([[2, -1, 0], [1, 2, -1], [-1, -1, 1]])
+    assert _packs_equal(page, mat, 1)
+    assert not _packs_equal(page, mat, 8)
+    assert not preserves_intersection_form(page, mat)
+    assert validate_monodromy(page, MonodromyH1(mat)).codes() == [
+        "boundary-class", "intersection-form", "determinant"]
+    # Genus 0: J = 0 and every action preserves it.
+    assert preserves_intersection_form(SurfaceSig(0, 3), IntMatrix.from_rows([[2, 5], [7, -3]]))
+    assert preserves_intersection_form(SurfaceSig(0, 1), IntMatrix(0, 0, ()))
 
 
 def test_huge_determinant_is_reported_without_its_digits():
@@ -332,11 +407,50 @@ def _dense_conjugate_h1(rng, g, b, shifts):
     return h1, time.perf_counter() - begin
 
 
+def _kernel_passes(monkeypatch) -> list:
+    """Trace each Bareiss pass: its row log and where it formed a kernel.
+
+    Each pass is (log, formed): ``log`` holds (row index, reader) as
+    :func:`genutils.traced_rows` records them, and ``formed`` the length of
+    ``log`` at each call of ``intalg._pivot_kernel``.
+    """
+    fraction_free, pivot_kernel = intalg._fraction_free, intalg._pivot_kernel
+    passes = []
+
+    def traced(rows):
+        passes.append(([], []))
+        return fraction_free(traced_rows(rows, passes[-1][0]))
+
+    def kernel(pivots, cols):
+        log, formed = passes[-1]
+        formed.append(len(log))
+        return pivot_kernel(pivots, cols)
+
+    monkeypatch.setattr(intalg, "_fraction_free", traced)
+    monkeypatch.setattr(intalg, "_pivot_kernel", kernel)
+    return passes
+
+
+def _assert_tested_not_reduced(passes, boundary_rows):
+    """One pass, one kernel, and no row reduced after it: at least the
+    boundary rows are only tested."""
+    (log, formed), = passes
+    (at,) = formed
+    after = log[at:]
+    assert all(who == "<genexpr>" for _, who in after), after
+    assert len({i for i, _ in after}) >= boundary_rows, after
+
+
 def test_h1_of_dense_rank_60_conjugate_in_closed_form(monkeypatch):
     # The two zero shifts add to the free rank, and the other torsion orders
     # already divide one another in sorted order.
     shifts = [0, 0, 1, -1, 1, -1, 2, -2, 2, 4, -4, 12, 12, -12, 12, 24, 1, 1, -1, 1]
-    h1, spent = _dense_conjugate_h1(make_rng(35), 20, 21, shifts)
+    with monkeypatch.context() as patch:
+        passes = _kernel_passes(patch)
+        h1, spent = _dense_conjugate_h1(make_rng(35), 20, 21, shifts)
+    # The 40 handle rows reach the rank: the 20 boundary rows are tested
+    # against the pivots' kernel and skipped, none of them reduced.
+    _assert_tested_not_reduced(passes, 20)
     assert h1 == AbelianGroup(20 + 2, (2, 2, 2, 4, 4, 12, 12, 12, 12, 24))
     # Carrying the transforms U and V takes over 20 s here.
     assert spent < 10.0, f"H_1 at rank 60 took {spent:.2f}s"
@@ -361,14 +475,37 @@ def test_h1_of_dense_rank_60_conjugate_in_closed_form(monkeypatch):
     assert rank == cols and read < rows, passes[0]
 
 
-def test_h1_of_dense_rank_80_conjugate_in_closed_form():
+def test_h1_of_dense_rank_80_conjugate_in_closed_form(monkeypatch):
     # F(27, 27) has rank 80.  Three zero shifts add to the free rank; the
     # torsion orders 2, 4, 12, 24, 48 divide one another in sorted order.
     shifts = [0, 0, 0, 1, -1, 1, -1, 2, -2, 2, 2, 4, -4, 4, 12, -12, 12,
               24, 24, -24, 48, 1, 1, -1, 1, -1, 1]
+    passes = _kernel_passes(monkeypatch)
     h1, spent = _dense_conjugate_h1(make_rng(36), 27, 27, shifts)
+    _assert_tested_not_reduced(passes, 26)
     assert h1 == AbelianGroup(26 + 3, (2, 2, 2, 2, 4, 4, 4, 12, 12, 12, 24, 24, 24, 48))
     assert spent < 10.0, f"H_1 at rank 80 took {spent:.2f}s"
+
+
+def test_boundary_row_that_raises_the_rank_is_reduced_after_the_test(monkeypatch):
+    # On F(2, 2) the handle block comes from a dense action on F(2, 1) with
+    # shifts 0 and 2, so its rows fall one short of full rank and one of
+    # them is cleared by the last pivot; the boundary row then raises the
+    # rank, fails the kernel test and is reduced.
+    a = dense_monodromy(SurfaceSig(2, 1), make_rng(7), [0, 2]).matrix
+    rows = [list(row) + [0] for row in a.entries] + [[3, -5, 7, 2, 1]]
+    page, m = SurfaceSig(2, 2), MonodromyH1(IntMatrix.from_rows(rows))
+    assert validate_monodromy(page, m).ok
+    passes = _kernel_passes(monkeypatch)
+    assert h1_open_book(OpenBookSpec(page=page, monodromy=m)) == AbelianGroup(1, (2, 60))
+    (log, formed), = passes
+    assert len(formed) == 1
+    tested, reduced = rows_tested_and_reduced(log)
+    assert tested == [tested[-1]] and tested[-1] in reduced, log
+    presentation = IntMatrix.from_rows(
+        [[x - (i == j) for j, x in enumerate(row[:4])] for i, row in enumerate(rows)])
+    assert intalg.invariant_factors(presentation) == (1, 1, 2, 60)
+    assert smith_normal_form(presentation).invariant_factors == (1, 1, 2, 60)
 
 
 # ---------------------------------------------------------------------------
