@@ -21,9 +21,13 @@ which also reads the sign of D off the pivot columns.  The
 rest is turned to its short side, no more rows than columns, and
 diagonalised over Z/GZ, where its entries stay below G (H. Cohen, A Course
 in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
-Math. Oper. Res. 12, 1987); a pivot that does not divide its row takes an
-extended-gcd column step, and unit factors and G's skip the sort.  This is
-exact:
+Math. Oper. Res. 12, 1987).  Its unit pivots modulo G go first: the rows
+are read in order, each stepped by the pivots found before it, and a
+row's first entry prime to G becomes the next pivot; a row with none is
+set aside until the later pivots have stepped it too.  Only the set-aside
+rows, on the columns that hold no pivot, go through the extended-gcd
+loop, where a pivot that does not divide its row takes an extended-gcd
+column step; unit factors and G's skip the sort.  This is exact:
 
 - a unit step is unimodular, so it keeps the cokernel, and after s of them
   every entry is an (s + 1) x (s + 1) minor of A divided by a pivot minor
@@ -35,6 +39,11 @@ exact:
   diagonal over Z/GZ determines;
 - row and column steps with extended-gcd coefficients, and the transpose,
   keep the invariant factors;
+- a unit pivot's row step adds a multiple of the pivot row to another row
+  and scales none, so in pivot order the block becomes [[U, X], [0, R]]
+  with U upper triangular and units on its diagonal modulo G; column steps
+  by U's columns clear X without touching R, and U is invertible over
+  Z/GZ, so the diagonal is a 1 for each pivot followed by R's;
 - the rank is exact, so the zero factors s_{r+1}, ... (0 mod G, like G
   itself) are never read as G.
 
@@ -348,6 +357,24 @@ def _drop_zero_lines(rows) -> list:
     return [[row[j] for j in kept] for row in rows]
 
 
+def _reduce_mod(x, pivots, d) -> list:
+    """Row x after a row step by each unit pivot in turn, entries in [0, d).
+
+    A pivot (j, w, tail) stands for a row whose entry p at position j among
+    the columns still free is prime to d, w = p^-1 mod d, and whose other
+    free entries are ``tail``.  x drops its entry c at j and takes
+    x - (c w mod d) tail, which is the row step that clears x at p's
+    column modulo d, so x keeps only the columns free after the pivot.
+    Entries are reduced modulo d once, at the end, in a new list.
+    """
+    x = list(x)
+    for j, w, tail in pivots:
+        q = x.pop(j) * w % d
+        if q:
+            x = [s - q * t for s, t in zip(x, tail)]
+    return [s % d for s in x]
+
+
 def _bezout(a: int, b: int) -> tuple:
     """(g, x, y) with g = gcd(a, b) = x a + y b for a > 0, b >= 0.
 
@@ -377,18 +404,25 @@ def invariant_factors(a: IntMatrix) -> tuple:
     :func:`_fraction_free` pass over the rest gives its rank r and a
     multiple G of s_1 ... s_r: |D| for its last pivot D when r is the
     column count, where the pass stops, else the gcd of the last pivot row
-    and the rows it cleared (see the module docstring).  Rows and columns
-    zero modulo G are dropped too.  The rest is transposed if it has more
-    rows than columns, which keeps the invariant factors, and diagonalised
-    over Z/GZ by extended-gcd row steps, each row that vanishes dropped.
-    Where the pivot p does not divide an entry t of its row, one
-    extended-gcd column step on p's column and t's, unimodular like the
-    row steps, puts gcd(p, t) in the pivot and clears t; the row steps then
-    start over on the pivot column.  Each diagonal entry d stands for
-    gcd(d, G), the positions left
-    over for G.  All of them divide G: the unit factors go first, the G's
-    last, and gcd/lcm pairs sort the rest into a divisibility chain whose
-    first r entries are s_1..s_r.
+    and the rows it cleared (see the module docstring).  The rest is
+    transposed if it has more rows than columns, which keeps the invariant
+    factors, and its rows are read in order over Z/GZ: each is stepped by
+    the unit pivots found before it (:func:`_reduce_mod`), and its first
+    entry prime to G becomes the next pivot, with one factor 1.  A row
+    without one is set aside and at the end stepped by the pivots found
+    after it.  In pivot order the block is then [[U, X], [0, R]], U upper
+    triangular with units on its diagonal; column steps clear X and leave
+    R, the set-aside rows on the columns without a pivot, so the factors
+    modulo G are the pivots' 1's and R's.  R without its zero rows and
+    columns is diagonalised by extended-gcd row steps, each row that
+    vanishes dropped.  Where the pivot p does not divide an entry t of its
+    row, one extended-gcd column step on p's column and t's, unimodular
+    like the row steps, puts gcd(p, t) in the pivot and clears t; the row
+    steps then start over on the pivot column.  Each diagonal entry d
+    stands for gcd(d, G), the positions left over for G.  All of them
+    divide G: the unit factors go first, the G's last, and gcd/lcm pairs
+    sort the rest into a divisibility chain whose first r entries are
+    s_1..s_r.
     """
     block = _drop_zero_lines(a.entries)
     units = 0
@@ -405,9 +439,18 @@ def invariant_factors(a: IntMatrix) -> tuple:
         units += 1
     rank, _, _, d = _fraction_free(block)
     rank += units
-    block = _drop_zero_lines([[x % d for x in row] for row in block])
     if block and len(block) > len(block[0]):
         block = [list(col) for col in zip(*block)]
+    pivots, aside = [], []
+    for row in block:
+        x = _reduce_mod(row, pivots, d)
+        j = next((j for j, t in enumerate(x) if t and gcd(t, d) == 1), None)
+        if j is not None:
+            pivots.append((j, pow(x.pop(j), -1, d), x))
+        elif any(x):
+            aside.append((len(pivots), x))
+    units += len(pivots)
+    block = _drop_zero_lines([_reduce_mod(x, pivots[k:], d) for k, x in aside])
     chain = []
     while True:
         pos = next(((i, j) for i, row in enumerate(block)

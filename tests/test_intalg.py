@@ -661,27 +661,104 @@ def test_tall_full_rank_stops_at_the_first_square_and_steps_columns(monkeypatch)
     monkeypatch.setattr(intalg, "_fraction_free", counted)
     monkeypatch.setattr(intalg, "_bezout",
                         lambda a, b: sites.append(sys._getframe(1).f_lineno) or bezout(a, b))
-    rng = make_rng(29)
-    values = (0, 2, -2, 3, -3, 4, 5, -6, 7, 9, -10)
-    below = stepped = 0
-    for _ in range(120):
-        n, extra = rng.randint(2, 5), rng.randint(1, 4)
-        square = None
-        while not square or not IntMatrix.from_rows(square).det():
-            square = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
-        a = IntMatrix.from_rows(square + [[rng.choice(values) for _ in range(n)]
-                                          for _ in range(extra)])
-        reads.clear()
+    # The first set has entries prime to most moduli, which the unit phase
+    # takes as pivots.  The second has only the primes 2 and 3, so modulo a
+    # G with both of them no entry is a unit and most blocks reach the
+    # extended-gcd loop; the floor on its column step is for that set.
+    for values in ((0, 2, -2, 3, -3, 4, 5, -6, 7, 9, -10),
+                   (0, 2, -2, 3, -3, 4, -6, 8, 9, -12)):
+        rng = make_rng(29)
+        below = stepped = 0
+        for _ in range(120):
+            n, extra = rng.randint(2, 5), rng.randint(1, 4)
+            square = None
+            while not square or not IntMatrix.from_rows(square).det():
+                square = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            a = IntMatrix.from_rows(square + [[rng.choice(values) for _ in range(n)]
+                                              for _ in range(extra)])
+            reads.clear()
+            sites.clear()
+            factors = invariant_factors(a)
+            assert reads == [n], a
+            assert set(sites) <= {row_site, column_site}, a
+            assert factors == smith_normal_form(a).invariant_factors, a
+            assert list(factors) == oracle_invariant_factors(a), a
+            below += determinantal_divisors(a)[-1] < abs(IntMatrix.from_rows(square).det())
+            stepped += column_site in sites
+        assert below >= 100, (values, below)
+    assert stepped >= 90, stepped
+
+
+def _chain_matrices(rng):
+    """Seeded U S V, S's diagonal a chain whose product has two or more primes.
+
+    S holds the chain in reverse, its largest factor first.  U and V are
+    products of row and column steps with multipliers +-2 and +-3, U's
+    adding rows only to later ones, so the first rows tend to hold no unit
+    modulo the product and are set aside before a later pivot steps them.
+    A third of the inputs drop one factor, which leaves the rank short of
+    both sides.
+    """
+    for i in range(240):
+        target = rng.choice((6, 12, 30, 60, 210, 360,
+                             2 ** rng.randint(1, 5) * 3 ** rng.randint(1, 4)))
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        r = min(m, n) - (i % 3 == 0)
+        chain = [1] * r
+        for p in (2, 3, 5, 7):
+            e = 0
+            while target % p ** (e + 1) == 0:
+                e += 1
+            places = [0] * r
+            for _ in range(e):
+                places[rng.randrange(r)] += 1
+            for k, x in enumerate(sorted(places)):
+                chain[k] *= p ** x
+        a = [[chain[r - 1 - k] if k == j and k < r else 0 for j in range(n)] for k in range(m)]
+        for _ in range(2 * (m + n)):
+            c = rng.choice((2, -2, 3, -3))
+            if rng.random() < 0.5:
+                t, k = sorted(rng.sample(range(m), 2))
+                a[k] = [x + c * y for x, y in zip(a[k], a[t])]
+            else:
+                k, t = rng.sample(range(n), 2)
+                for row in a:
+                    row[k] += c * row[t]
+        yield IntMatrix.from_rows(a), tuple(chain) + (0,) * (min(m, n) - r)
+
+
+def test_unit_pivots_modulo_g_match_the_oracles(monkeypatch):
+    fraction_free, reduce_mod = intalg._fraction_free, intalg._reduce_mod
+    moduli, sites = [], []
+    monkeypatch.setattr(intalg, "_fraction_free",
+                        lambda rows: moduli.append(fraction_free(rows)[3]) or fraction_free(rows))
+    # The second call of _reduce_mod steps the set-aside rows by the pivots
+    # found after them.
+    lines, start = inspect.getsourcelines(intalg.invariant_factors)
+    _, aside_site = [start + k for k, line in enumerate(lines) if "_reduce_mod(" in line]
+    monkeypatch.setattr(intalg, "_reduce_mod", lambda x, pivots, d: sites.append(
+        (sys._getframe(1).f_lineno, len(pivots))) or reduce_mod(x, pivots, d))
+    # Over Z/6 the row [2, 3] holds no unit and is set aside; the next row,
+    # [13, 19], is [1, 1] modulo 6 and a pivot, and the row step by it
+    # leaves [0, 1]: the set-aside row gains a unit only after that pivot.
+    a = IntMatrix.from_rows([[2, 3, 0], [13, 19, 0], [0, 0, 6]])
+    assert invariant_factors(a) == (1, 1, 6)
+    assert moduli == [6] and (aside_site, 1) in sites
+    assert invariant_factors(a) == smith_normal_form(a).invariant_factors
+    assert list(invariant_factors(a)) == oracle_invariant_factors(a)
+    stepped = 0
+    for a, chain in _chain_matrices(make_rng(30)):
+        moduli.clear()
         sites.clear()
         factors = invariant_factors(a)
-        assert reads == [n], a
-        assert set(sites) <= {row_site, column_site}, a
+        (g,) = moduli
+        # G is a multiple of the chain's product, so it has two primes too.
+        assert sum(g % p == 0 for p in (2, 3, 5, 7)) >= 2, (a, g)
+        assert factors == chain, (a, chain)
         assert factors == smith_normal_form(a).invariant_factors, a
         assert list(factors) == oracle_invariant_factors(a), a
-        below += determinantal_divisors(a)[-1] < abs(IntMatrix.from_rows(square).det())
-        stepped += column_site in sites
-    assert below >= 100, below
-    assert stepped >= 90, stepped
+        stepped += any(line == aside_site and k for line, k in sites)
+    assert stepped >= 45, stepped
 
 
 def test_block_gcd_lies_between_the_last_divisor_and_the_pivot(monkeypatch):
