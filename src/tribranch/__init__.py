@@ -44,12 +44,9 @@ from .essential import (
 from .intalg import (
     AbelianGroup,
     IntMatrix,
-    SnfResult,
     cokernel,
-    determinantal_divisors,
     invariant_factors,
     min_generators,
-    smith_normal_form,
 )
 from .openbook import (
     CERTIFIED,

@@ -5,29 +5,12 @@ fixed-width path exists anywhere in this module, because the homology
 certificates built on top of it cannot be tolerance-based.
 
 ``invariant_factors`` computes the invariant factors s_1 | s_2 | ... of a
-matrix A, which is all ``cokernel`` needs.  Without A's zero rows and columns,
-the +-1 entries are split off over Z first: each clears its column by row
-steps, and its row and column go with one invariant factor 1 (Cohen, below).
-One fraction-free (Bareiss) pass over what is left reads its rows in
-order, drops the rows that vanish and stops once its pivots span all the
-columns.  Once its last pivot has cleared a row, it tests each later row
-against a basis of the pivot rows' kernel over Q, formed once by exact
-back-substitution, and skips the rows in their span instead of reducing
-them; the first row outside it is reduced, and the test ends.  The pass
-gives the rank r, a nonzero r x r minor D and a modulus G: |D| itself at
-full column rank, else the gcd of the last pivot row and of the rows that
-pivot cleared.  ``IntMatrix.det`` is the same pass on the whole matrix,
-which also reads the sign of D off the pivot columns.  The
-rest is turned to its short side, no more rows than columns, and
-diagonalised over Z/GZ, where its entries stay below G (H. Cohen, A Course
-in Computational Algebraic Number Theory, 2.4; Domich, Kannan & Trotter,
-Math. Oper. Res. 12, 1987).  Its unit pivots modulo G go first: the rows
-are read in order, each stepped by the pivots found before it, and a
-row's first entry prime to G becomes the next pivot; a row with none is
-set aside until the later pivots have stepped it too.  Only the set-aside
-rows, on the columns that hold no pivot, go through the extended-gcd
-loop, where a pivot that does not divide its row takes an extended-gcd
-column step; unit factors and G's skip the sort.  This is exact:
+matrix A, which is all ``cokernel`` needs; its docstring gives the steps in
+order.  It splits off the +-1 entries over Z, takes the rank r, an r x r
+minor D and a modulus G from one fraction-free pass (``_fraction_free``,
+which ``IntMatrix.det`` also runs), and diagonalises the rest over Z/GZ
+(H. Cohen, A Course in Computational Algebraic Number Theory, 2.4; Domich,
+Kannan & Trotter, Math. Oper. Res. 12, 1987).  This is exact:
 
 - a unit step is unimodular, so it keeps the cokernel, and after s of them
   every entry is an (s + 1) x (s + 1) minor of A divided by a pivot minor
@@ -61,8 +44,9 @@ modulo G see the base page's presentation, not one more row per rung.
 
 ``smith_normal_form`` (with its unimodular transforms U and V, pivots of
 smallest absolute value in row-major order) and ``determinantal_divisors``
-(gcds of all k x k minors) are test oracles.  They stay in this module
-because the benchmark harness in ``perfbench/`` looks them up by name.
+(gcds of all k x k minors) are test oracles, imported from this module and
+not exported by the package.  They stay here because the benchmark harness
+in ``perfbench/`` looks them up by name.
 """
 
 from __future__ import annotations
@@ -252,33 +236,25 @@ def _fraction_free(rows) -> tuple:
     swapped: the sign is (-1)^(sum of k), k being each pivot's position
     among the columns still free, so sign * D is the determinant of a
     square matrix of full rank.  Once r is the column count no later row
-    is read and G = |D|, a nonzero r x r minor and so a multiple of the gcd
-    of all of them.
+    is read and G = |D|.
 
-    The first time a row is cleared by the last pivot so far, the pivot
-    rows are likely to be all of them, and each later row x is tested
-    instead of reduced (see :func:`_pivot_kernel`): x . v = 0 for every
-    vector v of a basis of the pivot rows' kernel over Q means that x lies
-    in their rational span, where the reduction would clear it, so x is
-    skipped.  The first x that fails the test raises the rank; it is
-    reduced as before, and the pass goes on without the test.  The test
-    costs one back-substitution, O(r^2 (n - r)) for n columns, and
-    O(n (n - r)) per row, against O(r n) to reduce a row.
+    The first time a row is cleared by the last pivot so far, each later
+    row x is tested instead of reduced: x . v = 0 for every v of
+    :func:`_pivot_kernel` puts x in the pivot rows' rational span, where
+    the reduction would clear it, so x is skipped.  The first x that fails
+    the test raises the rank; it is reduced, and the test ends.  The test
+    costs one :func:`_pivot_kernel` and O(n (n - r)) per row for n columns,
+    against O(r n) to reduce a row.
 
     Short of full column rank G is the gcd of the last pivot row and of
-    the rows that the last pivot reduced to zero, both before that step:
-    each entry is an r x r minor (Sylvester's identity), so again G is a
-    multiple of the gcd of all r x r minors, and it divides D.  A skipped
-    row adds nothing to G, which can only make G larger than a pass that
-    reduces every row.  D and G are 1 when r = 0.  A row that vanishes
-    stays zero and is dropped; a row an earlier pivot cleared would add
-    only zero minors to G.
+    the rows that the last pivot reduced to zero, both before that step; a
+    skipped row does not enter it.  D and G are 1 when r = 0.  A row that
+    vanishes stays zero and is dropped; a row an earlier pivot cleared
+    would add only zero minors to G.
     """
     pivots, sign, minor, kernel = [], 1, 1, None
     for row in rows:
         cols = len(row)
-        if not cols:
-            break
         if kernel:
             if not any(sum(map(mul, row, v)) for v in kernel):
                 continue
@@ -394,35 +370,30 @@ def _bezout(a: int, b: int) -> tuple:
 def invariant_factors(a: IntMatrix) -> tuple:
     """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
-    Rows and columns that are zero over Z are dropped (the padding to
-    min(rows, cols) entries stands for them).  Then, while an entry p = +-1
-    is left (the first in row-major order), each other row subtracts
-    c * p times p's row, for its entry c in p's column; that is unimodular
-    and clears the column, since p * p = 1.  p's row and column are dropped
-    with one factor 1, and so is every row that vanished; the units go
-    first in the chain and count towards the rank.  One
-    :func:`_fraction_free` pass over the rest gives its rank r and a
-    multiple G of s_1 ... s_r: |D| for its last pivot D when r is the
-    column count, where the pass stops, else the gcd of the last pivot row
-    and the rows it cleared (see the module docstring).  The rest is
-    transposed if it has more rows than columns, which keeps the invariant
-    factors, and its rows are read in order over Z/GZ: each is stepped by
-    the unit pivots found before it (:func:`_reduce_mod`), and its first
-    entry prime to G becomes the next pivot, with one factor 1.  A row
-    without one is set aside and at the end stepped by the pivots found
-    after it.  In pivot order the block is then [[U, X], [0, R]], U upper
-    triangular with units on its diagonal; column steps clear X and leave
-    R, the set-aside rows on the columns without a pivot, so the factors
-    modulo G are the pivots' 1's and R's.  R without its zero rows and
-    columns is diagonalised by extended-gcd row steps, each row that
-    vanishes dropped.  Where the pivot p does not divide an entry t of its
-    row, one extended-gcd column step on p's column and t's, unimodular
-    like the row steps, puts gcd(p, t) in the pivot and clears t; the row
-    steps then start over on the pivot column.  Each diagonal entry d
-    stands for gcd(d, G), the positions left over for G.  All of them
-    divide G: the unit factors go first, the G's last, and gcd/lcm pairs
-    sort the rest into a divisibility chain whose first r entries are
-    s_1..s_r.
+    Rows and columns that are zero over Z are dropped; the padding to
+    min(rows, cols) entries stands for them.  While an entry p = +-1 is
+    left (the first in row-major order), each other row subtracts c * p
+    times p's row, for its entry c in p's column, which clears the column
+    since p * p = 1; p's row and column go with one factor 1, and so does
+    every row that vanished.  One :func:`_fraction_free` pass over the rest
+    gives its rank r and the modulus G.
+
+    The rest is turned to its short side, no more rows than columns, and
+    its rows are read in order over Z/GZ: each is stepped by the unit
+    pivots found before it (:func:`_reduce_mod`), and its first entry prime
+    to G becomes the next pivot, with one factor 1.  A row without one is
+    set aside, and at the end stepped by the pivots found after it.  R, the
+    set-aside rows on the columns without a pivot, loses its zero rows and
+    columns and is diagonalised by extended-gcd row steps on the pivot at
+    (0, 0), the first nonzero entry of row 0 swapped into column 0; each
+    pass keeps only the rows left nonzero, so row 0 always has one.  Where
+    the pivot p does not divide an entry t of its row, one extended-gcd
+    column step on p's column and t's puts gcd(p, t) in the pivot, and the
+    row steps start over.
+
+    Each diagonal entry d stands for gcd(d, G), the positions left over for
+    G.  The unit factors go first, the G's last, and gcd/lcm pairs sort the
+    rest into a divisibility chain whose first r entries are s_1..s_r.
     """
     block = _drop_zero_lines(a.entries)
     units = 0
@@ -452,13 +423,8 @@ def invariant_factors(a: IntMatrix) -> tuple:
     units += len(pivots)
     block = _drop_zero_lines([_reduce_mod(x, pivots[k:], d) for k, x in aside])
     chain = []
-    while True:
-        pos = next(((i, j) for i, row in enumerate(block)
-                    for j, x in enumerate(row) if x), None)
-        if pos is None:
-            break
-        i, j = pos
-        block[0], block[i] = block[i], block[0]
+    while block:
+        j = next(j for j, x in enumerate(block[0]) if x)
         for row in block:
             row[0], row[j] = row[j], row[0]
         while True:

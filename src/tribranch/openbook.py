@@ -281,17 +281,13 @@ def _checked_shapes(spec: OpenBookSpec) -> tuple:
 def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:
     """First homology of the closed manifold of the open book.
 
-    It is the cokernel of the k x (2g + b - 1) matrix whose row i is
+    It is the cokernel of the k x k matrix whose row i is
 
-        [M[i][j] - delta_ij for j < 2g] + [w_i,j - w_i,1 for j = 2..b].
+        [M[i][j] - delta_ij for j < 2g] + [w_i,j - w_i,1 for j = 2..b],
 
-    The full presentation [[M - 1, W], [0, 1 ... 1]] is (k + 1) x (k + b),
-    its last row standing for t.  Subtracting the column of circle 1 from
-    the other circle columns is unimodular and leaves a single 1 in that
-    row; the pivot splits off a factor 1, which eliminates t = -w_1.  The
-    columns (M - 1) e_j for j >= 2g are zero, because a valid monodromy
-    fixes the boundary classes.  So the free rank and the torsion are those
-    of the full presentation.
+    the presentation of the module docstring without t and without the
+    zero columns of the boundary classes.  An invalid monodromy raises
+    :class:`MonodromyError` before the matrix is built.
     """
     report = validate_monodromy(spec.page, spec.monodromy)
     if not report.ok:

@@ -33,9 +33,6 @@ from .reports import ValidationReport
 
 # Curves are identified by opaque strings, stable under serialization.
 CurveId = str
-PantsId = str
-# A cuff address: (pants id, slot in 1..3).
-Cuff = tuple[PantsId, int]
 # A multicurve is just a subset of the curve ids of one decomposition.
 Multicurve = frozenset
 
@@ -89,10 +86,11 @@ def components(nodes, pairs) -> list:
 class PantsDecomposition(namedtuple("PantsDecomposition", "pants edges legs")):
     """A pants decomposition as a decorated trivalent multigraph.
 
-    ``pants``  -- the frozenset of pants (vertex) ids.
-    ``edges``  -- curve id -> ordered pair of cuffs.  The order of the two
-                  endpoints is meaningful: endpoint 0 is the negative side of
-                  the curve and endpoint 1 the positive side, which is where
+    ``pants``  -- the frozenset of pants (vertex) ids, strings.
+    ``edges``  -- curve id -> ordered pair of cuffs, a cuff being a (pants
+                  id, slot in 1..3) pair.  The order of the two endpoints
+                  is meaningful: endpoint 0 is the negative side of the
+                  curve and endpoint 1 the positive side, which is where
                   push-offs are placed by the surface constructions.
     ``legs``   -- boundary label (1..b) -> the cuff carrying that boundary
                   circle of the surface.

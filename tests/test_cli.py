@@ -56,6 +56,18 @@ def test_validate_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_validate_curve_with_both_ends_on_one_cuff(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "f05_identity.json").read_text())
+    doc["monodromy"]["pants_path"]["start"]["edges"]["c2"] = [["P1", 2], ["P1", 2]]
+    spec_file = tmp_path / "loop.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", spec_file)
+    assert code == 1
+    assert "Traceback" not in err
+    assert {"code": "degenerate-loop", "message": "curve c2 occupies one cuff twice",
+            "where": "pants_path"} in report_of(out)["validation"]
+
+
 def test_homology_certified(capsys):
     code, out, err = run(capsys, "homology", FIXTURES / "f05_identity.json")
     assert code == 0

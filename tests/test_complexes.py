@@ -88,6 +88,12 @@ def test_naive_rejects_disc_page():
         construct_naive(OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page)))
 
 
+def test_naive_rejects_closed_page():
+    # F(1, 0) has chi = 0 but no boundary circle to bind the open book.
+    with pytest.raises(ConstructionError, match="at least one boundary circle"):
+        construct_naive(OpenBookSpec(page=SurfaceSig(1, 0), monodromy=None))
+
+
 def test_naive_allows_chi_zero_annulus_page():
     page = SurfaceSig(0, 2)
     tc = construct_naive(OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page)))

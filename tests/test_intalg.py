@@ -10,12 +10,11 @@ from tribranch import (
     SurfaceSig,
     TribranchError,
     cokernel,
-    determinantal_divisors,
     invariant_factors,
     min_generators,
-    smith_normal_form,
 )
 from tribranch import intalg
+from tribranch.intalg import determinantal_divisors, smith_normal_form
 
 from genutils import (
     dense_monodromy,

@@ -1,6 +1,6 @@
-"""Property test of the elimination modulo a nonzero minor. Kept apart
-from test_intalg.py so that only this module needs the optional
-`hypothesis` test dependency."""
+"""Property test of the elimination modulo G, the modulus of the Bareiss
+pass. Kept apart from test_intalg.py so that only this module needs the
+optional `hypothesis` test dependency."""
 from hypothesis import given, settings, strategies as st
 
 from tribranch import IntMatrix, invariant_factors

@@ -244,6 +244,13 @@ def test_curve_bijection_with_a_missing_leg_label_does_not_extend():
     assert vertex_map_from_curve_bijection(pd, other, {c: c for c in pd.edges}) is None
 
 
+def test_curve_bijection_from_other_curves_does_not_extend():
+    pd = standard_decomposition(SurfaceSig(0, 5))
+    curves = sorted(pd.edges)
+    curve_map = dict(zip(["x"] + curves[1:], curves))
+    assert vertex_map_from_curve_bijection(pd, pd, curve_map) is None
+
+
 def test_isomorphism_respects_leg_label_values():
     # Renaming label 5 to 6 moves no leg, so the canonical keys agree: the
     # key records where each label sits, not its value.  No isomorphism can

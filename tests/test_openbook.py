@@ -20,7 +20,6 @@ from tribranch import (
     intersection_form,
     min_generators,
     rank_certificate,
-    smith_normal_form,
     stabilize,
     standard_decomposition,
     transvection,
@@ -29,6 +28,7 @@ from tribranch import (
     validate_spec,
 )
 from tribranch import intalg, openbook
+from tribranch.intalg import smith_normal_form
 from tribranch.openbook import (
     _stabilized_basis_change,
     _to_stabilized_basis,
@@ -729,6 +729,12 @@ def test_transvection_takes_integer_classes_only():
     t = transvection(j_form, [1, 0])
     assert t == IntMatrix.from_rows([[1, -1], [0, 1]])
     assert all(type(x) is int for row in t.entries for x in row)
+
+
+def test_transvection_rejects_a_class_of_the_wrong_length():
+    j_form = intersection_form(SurfaceSig(1, 1))
+    with pytest.raises(TribranchError, match="class has length 3, expected 2"):
+        transvection(j_form, [1, 0, 0])
 
 
 def test_stabilize_clears_path_by_default():

@@ -166,6 +166,13 @@ def test_isolating_repairing_reports_disconnection():
         apply_move(pd, PantsMove("c2", "z", A_MOVE, bad))
 
 
+def test_repairing_with_all_four_cuffs_in_one_group():
+    pd = make_f12_loop_shape()
+    support = (("P0", 1), ("P0", 2), ("P1", 2), ("P1", 3))
+    with pytest.raises(MoveError, match="must split the support cuffs two-and-two"):
+        apply_move(pd, PantsMove("c2", "z", A_MOVE, (support, ())))
+
+
 def test_repairing_can_change_shape():
     sig = SurfaceSig(1, 2)
     pd = make_f12_loop_shape()
@@ -350,6 +357,16 @@ def test_search_trivial_case():
     path = search_path(pd, pd, budget=10)
     assert path is not None and path.moves == []
     assert validate_path(path).ok
+
+
+def test_search_rejects_an_invalid_decomposition_of_the_right_surface():
+    target, _ = two_leg_groupings_f05()
+    # c2 on one cuff twice: the graph still reads as F(0, 5).
+    edges = dict(target.edges, c2=(("P1", 2), ("P1", 2)))
+    start = PantsDecomposition(pants=target.pants, edges=edges, legs=target.legs)
+    assert start.surface_sig() == target.surface_sig()
+    with pytest.raises(TribranchError, match="both decompositions must be valid"):
+        search_path(start, target, budget=10)
 
 
 def test_search_between_leg_groupings():

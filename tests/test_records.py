@@ -25,10 +25,10 @@ from tribranch import (
     construct_outer,
     euler_audit,
     rank_certificate,
-    smith_normal_form,
     stabilize,
     validate_spec,
 )
+from tribranch.intalg import smith_normal_form
 from tribranch.reports import ValidationReport
 from tribranch.schema import load_spec_file
 from tribranch.surfaces import cut_structure

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import tribranch
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "tribranch"
 
 
@@ -51,6 +53,16 @@ def test_no_dataclasses_in_package():
     # about 30 ms of each start-up, namedtuple records a fraction of that.
     found = _uses("dataclasses")
     assert not found, f"dataclasses in the package: {found}"
+
+
+def test_oracles_are_not_exported():
+    # The Smith normal form with its transforms and the determinantal
+    # divisors check invariant_factors; they are not the package's API.
+    oracles = ("smith_normal_form", "SnfResult", "determinantal_divisors")
+    assert not set(oracles) & set(tribranch.__all__)
+    found = [where for name in oracles for where in _uses(name)
+             if not where.startswith("intalg.py:")]
+    assert not found, f"the test oracles named outside intalg: {found}"
 
 
 def _benchmark_names() -> list:

@@ -56,6 +56,21 @@ def test_validate_pants_count_mismatch():
     assert "pants-count" in report.codes()
 
 
+def test_validate_curve_with_both_ends_on_one_cuff():
+    pd = PantsDecomposition.build(["P0"], {"c1": (("P0", 1), ("P0", 1))}, {1: ("P0", 3)})
+    issues = validate_pants(SurfaceSig(1, 1), pd).entries
+    assert ("degenerate-loop", "curve c1 occupies one cuff twice") in [
+        (e.code, e.message) for e in issues]
+
+
+def test_validate_against_a_genus_the_graph_does_not_have():
+    # Two pants and two curves: one cycle, so genus 1, not the 0 of F(0, 4).
+    pd = standard_decomposition(SurfaceSig(1, 2))
+    issues = validate_pants(SurfaceSig(0, 4), pd).entries
+    assert ("cycle-rank", "cycle rank 1 differs from genus 0") in [
+        (e.code, e.message) for e in issues]
+
+
 def test_validate_degenerate_surfaces():
     for sig in (SurfaceSig(0, 1), SurfaceSig(0, 2), SurfaceSig(1, 0), SurfaceSig(0, 0)):
         report = validate_pants(sig, PantsDecomposition.build([], {}, {}))
