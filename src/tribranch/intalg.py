@@ -40,7 +40,11 @@ with it, never smaller, and the rank and D do not depend on it.
 
 On a stabilized open book each boundary circle that stabilization added
 brings a winding column with a unit, so the Bareiss pass and the pass
-modulo G see the base page's presentation, not one more row per rung.
+modulo G see the base page's presentation, not one more row per rung.  The
+lone units go first, so the unit steps touch the other rows only at the
+winding columns, which then go: on the ladders of the benchmark and of the
+tests the Bareiss pass reads rows of the presentation's handle columns as
+built.
 
 ``smith_normal_form`` (with its unimodular transforms U and V, pivots of
 smallest absolute value in row-major order) and ``determinantal_divisors``
@@ -65,7 +69,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, entries: tuple):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        if len(entries) != rows or rows and set(map(len, entries)) != {cols}:
             raise TribranchError("matrix dimensions do not match the entry grid")
         return tuple.__new__(cls, (rows, cols, entries))
 
@@ -367,16 +371,24 @@ def _bezout(a: int, b: int) -> tuple:
     return a, x0, y0
 
 
+_UNITS = frozenset((1, -1))
+
+
 def invariant_factors(a: IntMatrix) -> tuple:
     """The invariant factors s_1 | s_2 | ... of ``a``, min(rows, cols) of them.
 
-    Rows and columns that are zero over Z are dropped; the padding to
-    min(rows, cols) entries stands for them.  While an entry p = +-1 is
-    left (the first in row-major order), each other row subtracts c * p
-    times p's row, for its entry c in p's column, which clears the column
-    since p * p = 1; p's row and column go with one factor 1, and so does
-    every row that vanished.  One :func:`_fraction_free` pass over the rest
-    gives its rank r and the modulus G.
+    While an entry p = +-1 is left, the pivot is taken by Markowitz's rule
+    (Management Science 3, 1957): among the rows that hold one, the row
+    with the fewest nonzeros, so a lone unit goes first, and in it the
+    first 1, else the first -1.  Each row with an entry c in p's column,
+    p's row among them, subtracts c * p times p's row at p's row's nonzero
+    positions; p * p = 1, so this clears the column and empties p's row,
+    which goes with one factor 1.  No other row is touched, and the rows
+    that hold a unit are rescanned only where a step changed them.  Then
+    the rows and columns that are zero over Z go, the emptied rows and the
+    cleared columns among them; the padding to min(rows, cols) entries
+    stands for them.  One :func:`_fraction_free` pass over the rest gives
+    its rank r and the modulus G.
 
     The rest is turned to its short side, no more rows than columns, and
     its rows are read in order over Z/GZ: each is stepped by the unit
@@ -395,19 +407,24 @@ def invariant_factors(a: IntMatrix) -> tuple:
     G.  The unit factors go first, the G's last, and gcd/lcm pairs sort the
     rest into a divisibility chain whose first r entries are s_1..s_r.
     """
-    block = _drop_zero_lines(a.entries)
+    block = list(map(list, a.entries))
+    ones = [row for row in block if not _UNITS.isdisjoint(row)]
     units = 0
-    while True:
-        i = next((i for i, row in enumerate(block) if 1 in row or -1 in row), None)
-        if i is None:
-            break
-        top = block.pop(i)
-        j = next(j for j, x in enumerate(top) if x in (1, -1))
-        p = top.pop(j)
-        qs = [row.pop(j) * p for row in block]
-        block = list(filter(any, [[x - q * y for x, y in zip(row, top)] if q else row
-                                  for row, q in zip(block, qs)]))
+    while ones:
+        top = min(ones, key=lambda row: len(row) - row.count(0))
+        p = 1 if 1 in top else -1
+        j = top.index(p)
+        on = [(l, x * p) for l, x in enumerate(top) if x]
+        ones = [row for row in ones if not row[j]]
+        for row in block:
+            c = row[j]
+            if c:
+                for l, y in on:
+                    row[l] -= c * y
+                if not _UNITS.isdisjoint(row):
+                    ones.append(row)
         units += 1
+    block = _drop_zero_lines(block)
     rank, _, _, d = _fraction_free(block)
     rank += units
     if block and len(block) > len(block[0]):

@@ -124,17 +124,19 @@ def validate_monodromy(page: SurfaceSig, m: MonodromyH1) -> ValidationReport:
             f"matrix is {mat.rows}x{mat.cols}, expected {k}x{k} for page {page}",
         )
         return report
-    # Column i of a fixed boundary class i is the unit vector e_i; each row's
-    # entries at the boundary columns are read in place.
-    moved = {i for r, row in enumerate(mat.entries)
-             for i in range(2 * page.genus, k) if row[i] != (r == i)}
+    # Column i of a fixed boundary class i is the unit vector e_i.  Each row's
+    # boundary slice is compared with e_r's, a slice of ``line``, and read
+    # entry by entry only where it differs.
+    g2 = 2 * page.genus
+    line = (0,) * k + (1,) + (0,) * k
+    moved = {i for r, row in enumerate(mat.entries) if row[g2:] != line[k + g2 - r:2 * k - r]
+             for i in range(g2, k) if row[i] != (r == i)}
     for i in sorted(moved):
-        report.add("boundary-class", f"boundary class c_{i - 2 * page.genus + 1} not fixed")
+        report.add("boundary-class", f"boundary class c_{i - g2 + 1} not fixed")
     # With the boundary classes fixed M = [[A, 0], [C, I]], and M^T J M = J
     # reduces to A^T J_g A = J_g on the top-left 2g x 2g block A, the form
     # check of the page F(g, 1); it gives det M = det A = 1.  A moved class
     # keeps the check on all of M.
-    g2 = 2 * page.genus
     form_page, form_mat = (page, mat) if moved else (
         SurfaceSig(page.genus, 1),
         IntMatrix(g2, g2, tuple([row[:g2] for row in mat.entries[:g2]])))
@@ -293,15 +295,15 @@ def h1_open_book(spec: OpenBookSpec) -> AbelianGroup:
     if not report.ok:
         raise MonodromyError(report.summary())
     m, w = _checked_shapes(spec)
-    g = spec.page.genus
+    g2 = 2 * spec.page.genus
     # Lists, not generators, go into tuple(): tuples grown from generators
     # left the benchmark's peak RSS about 1 MB higher.
     entries = tuple([
-        tuple([x - (i == j) for j, x in enumerate(m_row[:2 * g])]
-              + [y - w_row[0] for y in w_row[1:]])
+        (m_row[:i] + (m_row[i] - 1,) + m_row[i + 1:g2] if i < g2 else m_row[:g2])
+        + (tuple([y - w_row[0] for y in w_row[1:]]) if w_row[0] else w_row[1:])
         for i, (m_row, w_row) in enumerate(zip(m.entries, w.entries))
     ])
-    return cokernel(IntMatrix(w.rows, 2 * g + w.cols - 1, entries))
+    return cokernel(IntMatrix(w.rows, g2 + w.cols - 1, entries))
 
 
 class RankCertificate(namedtuple("RankCertificate", "h1 lower_bound verdict")):
@@ -370,12 +372,11 @@ def _stabilized_basis_change(page: SurfaceSig, site: int) -> IntMatrix:
     boundary classes), P[k][k] = -1 if site = b and 0 otherwise, and
     P[k][2g + site - 1] = -1 when site < b.
     """
-    g, k = page.genus, h1_rank(page)
-    rows = [[0] * r + [1] + [0] * (k - r) for r in range(k)] + [[0] * (k + 1)]
-    for r in range(2 * g, k):
-        rows[r][k] = -1
-    rows[k][2 * g + site - 1] = -1  # index k itself when site = b
-    return IntMatrix(k + 1, k + 1, tuple([tuple(row) for row in rows]))
+    g2, k = 2 * page.genus, h1_rank(page)
+    zero, s = (0,) * (k + 1), g2 + site - 1  # s = k when site = b
+    rows = [zero[:r] + (1,) + zero[r + 1:k] + (-1 if r >= g2 else 0,) for r in range(k)]
+    rows.append(zero[:s] + (-1,) + zero[s + 1:])
+    return IntMatrix(k + 1, k + 1, tuple(rows))
 
 
 def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
@@ -385,19 +386,18 @@ def _to_stabilized_basis(page: SurfaceSig, site: int, rows) -> IntMatrix:
     c'_{b+1} = e, so e = -(c'_1 + ... + c'_b); the old class c_site (site < b)
     is c'_site + e, and every other old class keeps its coordinates.  So
     P^-1 is the identity except on the rows 2g <= r <= k, and row r of
-    P^-1 X is [r < k] X_r - X_k - [site < b] X_{2g+site-1}: row operations
-    in O(k) per row, with no inverse matrix built.  ``rows`` are the k + 1
-    rows of X, int tuples of one length.
+    P^-1 X is [r < k] X_r - X_k - [site < b] X_{2g+site-1}.  The row
+    shift = -X_k - [site < b] X_{2g+site-1} is formed once: row r < k is
+    X_r + shift and row k is shift itself, the same tuple.  These are row
+    operations in O(k) per row, with no inverse matrix built.  ``rows`` are
+    the k + 1 rows of X, int tuples of one length.
     """
-    g = page.genus
-    k = len(rows) - 1
-    zero = [0] * len(rows[k])
-    # When site = b the circle's index 2g + site - 1 is k itself.
-    site_row = rows[2 * g + site - 1] if 2 * g + site - 1 < k else zero
-    changed = [[x - y - z for x, y, z in zip(rows[r] if r < k else zero, rows[k], site_row)]
-               for r in range(2 * g, k + 1)]
-    # A list, not map(), into tuple(): see the note on peak RSS in h1_open_book.
-    return IntMatrix(k + 1, len(zero), tuple(rows[:2 * g]) + tuple([tuple(r) for r in changed]))
+    g2, k = 2 * page.genus, len(rows) - 1
+    s = g2 + site - 1  # s = k when site = b
+    shift = tuple([-x - y for x, y in zip(rows[k], rows[s])] if s < k else [-x for x in rows[k]])
+    # Lists, not map(), into tuple(): see the note on peak RSS in h1_open_book.
+    changed = [tuple([x + y for x, y in zip(rows[r], shift)]) for r in range(g2, k)]
+    return IntMatrix(k + 1, len(shift), tuple(rows[:g2]) + tuple(changed) + (shift,))
 
 
 class StabilizationResult(namedtuple("StabilizationResult", "spec change_of_basis notes",

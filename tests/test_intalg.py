@@ -310,6 +310,10 @@ def test_invariant_factors_named_cases_mod_d():
     assert invariant_factors(IntMatrix.from_rows([[6, 0, 12], [0, 0, 0], [0, 4, 0]])) == (2, 12, 0)
     # D = 15 with the middle row and the middle column zero.
     assert invariant_factors(IntMatrix.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 5]])) == (1, 15, 0)
+    # One column left after the zero columns go: the gcd of its entries.
+    assert invariant_factors(IntMatrix.from_rows([[0, 4, 0], [0, 6, 0]])) == (2, 0)
+    # The unit's step leaves the one column (4, 6), whose gcd is 2.
+    assert invariant_factors(IntMatrix.from_rows([[1, 3], [2, 10], [3, 15]])) == (1, 2)
 
 
 def test_bezout_keeps_a_dividing_pivot():
@@ -451,6 +455,89 @@ def test_unit_split_matches_snf_minor_and_laplace_oracles(monkeypatch):
             assert a.det() == laplace(entries), (kind, entries)
     assert kinds == {"empty", "permutation", "sparse", "hidden"}
     assert hidden >= 20, hidden
+
+
+def _nonzeros(row) -> int:
+    return sum(1 for x in row if x)
+
+
+def _split_cases(rng):
+    """Seeded matrices for the cases of the +-1 split's pivot rule."""
+    def dense(cols, entries=(-5, -4, -3, -2, 2, 3, 4, 5)):
+        return [rng.choice(entries) for _ in range(cols)]
+
+    for _ in range(60):
+        # A lone unit row after a dense row that holds a +-1 and has an
+        # entry in the lone unit's column: the lone one goes first.
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        entries = [dense(cols, (-3, -1, 0, 1, 2, 3)) for _ in range(rows)]
+        j, top = rng.randrange(cols), rng.randrange(rows - 1)
+        entries[top] = dense(cols)
+        entries[top][rng.choice([c for c in range(cols) if c != j])] = rng.choice((1, -1))
+        entries[rng.randint(top + 1, rows - 1)] = [rng.choice((1, -1)) * (c == j)
+                                                   for c in range(cols)]
+        yield "lone-after-dense", entries
+    for _ in range(60):
+        # A +-1 column with an entry in every row: every row is stepped.
+        rows, cols = rng.randint(2, 6), rng.randint(1, 6)
+        entries = [dense(cols, (-4, -2, 0, 2, 3, 4)) for _ in range(rows)]
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        entries[rng.randrange(rows)][j] = rng.choice((1, -1))
+        yield "full-column", entries
+    for _ in range(60):
+        # No +1 entry: the first pivot p is -1, and p * p = 1 clears its column.
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [dense(cols, (-1, -1, 0, 0, 2, -2, 3)) for _ in range(rows)]
+        entries[rng.randrange(rows)][rng.randrange(cols)] = -1
+        yield "minus-one", entries
+    for _ in range(60):
+        # Multiples of the sparsest unit row vanish in its step; the dense
+        # rows have no zero entry, so that row is the first pivot.
+        rows, cols = rng.randint(3, 6), rng.randint(2, 6)
+        entries = [dense(cols) for _ in range(rows)]
+        unit = [0] * cols
+        j, other = rng.sample(range(cols), 2)
+        unit[j], unit[other] = rng.choice((1, -1)), rng.choice((-3, 2, 4))
+        at = rng.sample(range(rows), rng.randint(2, rows))
+        entries[at[0]] = unit
+        for i, c in zip(at[1:], rng.choices((-3, -2, 2, 3), k=len(at) - 1)):
+            entries[i] = [c * x for x in unit]
+        yield "vanishing", entries
+
+
+def _reaches(kind, entries) -> bool:
+    """Whether ``entries`` has the property its case is about."""
+    units = [i for i, row in enumerate(entries) if 1 in row or -1 in row]
+    if kind == "lone-after-dense":
+        lone = [(i, row.index(1) if 1 in row else row.index(-1))
+                for i, row in enumerate(entries) if i in units and _nonzeros(row) == 1]
+        return any(_nonzeros(entries[t]) > 1 and entries[t][j]
+                   for i, j in lone for t in units if t < i)
+    if kind == "full-column":
+        return any(all(col) and (1 in col or -1 in col) for col in zip(*entries))
+    if kind == "minus-one":
+        return bool(units) and not any(1 in row for row in entries)
+    # vanishing: a nonzero multiple of the sparsest unit row.
+    if not units:
+        return False
+    top = entries[min(units, key=lambda i: _nonzeros(entries[i]))]
+    j = top.index(1) if 1 in top else top.index(-1)
+    return any(row is not top and row[j] and row == [row[j] * top[j] * x for x in top]
+               for row in entries)
+
+
+def test_split_pivot_rule_cases_match_snf_and_minor_oracles():
+    rng = make_rng(39)
+    reached = dict.fromkeys(["lone-after-dense", "full-column", "minus-one", "vanishing"], 0)
+    for kind, entries in _split_cases(rng):
+        a = IntMatrix.from_rows(entries)
+        factors = invariant_factors(a)
+        assert factors == smith_normal_form(a).invariant_factors, (kind, entries)
+        assert list(factors) == oracle_invariant_factors(a), (kind, entries)
+        reached[kind] += _reaches(kind, entries)
+    assert all(n >= 50 for n in reached.values()), reached
 
 
 def test_fraction_free_drops_vanished_rows_without_changing_rank_or_minor():

@@ -689,6 +689,32 @@ def test_stabilize_ladders_keep_h1_and_split_the_winding_units(monkeypatch):
         seen.clear()
 
 
+def test_stabilize_ladders_hand_the_bareiss_pass_presentation_rows_as_built(monkeypatch):
+    # The lone units of the winding columns go first, so the +-1 split never
+    # steps a row that it does not take as a pivot: every row the Bareiss
+    # pass reads is a row of the presentation's 2g handle columns, unchanged.
+    rng = make_rng(37)
+    presentations, passes = [], []
+    cokernel, fraction_free = openbook.cokernel, intalg._fraction_free
+    monkeypatch.setattr(openbook, "cokernel", lambda a: presentations.append(a) or cokernel(a))
+    monkeypatch.setattr(intalg, "_fraction_free",
+                        lambda rows: passes.append([tuple(r) for r in rows]) or fraction_free(rows))
+    rungs = 0
+    for (g, b), shifts in [((3, 9), [2, 0, -4]), ((4, 7), [12, -2, 1, 4]), ((2, 11), [6])]:
+        page = SurfaceSig(g, b)
+        spec = OpenBookSpec(page=page, monodromy=dense_monodromy(page, rng, shifts))
+        for rung in range(5):
+            spec = stabilize(spec, site=rng.randint(1, b + rung)).spec
+            presentations.clear()
+            passes.clear()
+            h1_open_book(spec)
+            [a], [rows] = presentations, passes
+            handle_rows = {row[:2 * g] for row in a.entries}
+            assert rows and all(row in handle_rows for row in rows), (page, rung)
+            rungs += 1
+    assert rungs == 15
+
+
 def test_stabilize_invalid_site():
     spec = identity_spec(1, 1)
     with pytest.raises(TribranchError):
