@@ -5,91 +5,70 @@ branching) inside open books, checks the local models, and emits
 machine-checkable certificates for the four essentiality conditions, with
 the fundamental group rank hypothesis certified through exact integer
 homology.
+
+Exports resolve on first use (PEP 562): ``import tribranch`` loads no
+submodule, and ``tribranch.construct_outer`` imports ``tribranch.complexes``
+the first time it is read.  Each access returns the submodule's current
+attribute; nothing is copied into the package's namespace, so rebinding a
+name in its submodule rebinds it here too.
 """
 
-from .complexes import (
-    HORIZONTAL_ANNULUS,
-    MERGED_PIECE,
-    NAIVE_PAGE,
-    PANTS_PIECE,
-    PRODUCT_BLOCK,
-    PUSHOFF_ANNULUS,
-    SOLID_TORUS,
-    TORUS_ANNULUS,
-    Block,
-    Branch,
-    BranchingCircle,
-    TribranchedComplex,
-    check_local_models,
-    construct_naive,
-    construct_outer,
-    euler_audit,
-)
-from .errors import (
-    ConstructionError,
-    MonodromyError,
-    MoveError,
-    SchemaError,
-    TribranchError,
-)
-from .essential import (
-    ESSENTIAL,
-    FAIL,
-    NOT_CERTIFIED,
-    PASS,
-    STRUCTURAL_PASS,
-    EssentialityReport,
-    check_essential,
-)
-from .intalg import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel,
-    invariant_factors,
-    min_generators,
-)
-from .openbook import (
-    CERTIFIED,
-    UNCERTIFIED,
-    CheckedSpec,
-    MonodromyH1,
-    OpenBookSpec,
-    RankCertificate,
-    h1_open_book,
-    h1_rank,
-    intersection_form,
-    rank_certificate,
-    stabilize,
-    transvection,
-    validate_monodromy,
-    validate_spec,
-)
-from .paths import (
-    A_MOVE,
-    S_MOVE,
-    PantsMove,
-    PantsPath,
-    apply_move,
-    common_curves,
-    enumerate_pairings,
-    move_kind,
-    replay,
-    search_path,
-    validate_path,
-)
-from .reports import Issue, ValidationReport
-from .surfaces import (
-    CurveId,
-    Multicurve,
-    PantsDecomposition,
-    SurfaceSig,
-    canonical_key,
-    cut_structure,
-    find_isomorphism,
-    standard_decomposition,
-    validate_pants,
-)
+import importlib
+
+# Each export and the submodule it comes from; a submodule's own name maps to
+# itself and resolves to the submodule.
+_SOURCE = {
+    **dict.fromkeys((
+        "complexes", "HORIZONTAL_ANNULUS", "MERGED_PIECE", "NAIVE_PAGE",
+        "PANTS_PIECE", "PRODUCT_BLOCK", "PUSHOFF_ANNULUS", "SOLID_TORUS",
+        "TORUS_ANNULUS", "Block", "Branch", "BranchingCircle",
+        "TribranchedComplex", "check_local_models", "construct_naive",
+        "construct_outer", "euler_audit",
+    ), "complexes"),
+    **dict.fromkeys((
+        "errors", "ConstructionError", "MonodromyError", "MoveError",
+        "SchemaError", "TribranchError",
+    ), "errors"),
+    **dict.fromkeys((
+        "essential", "ESSENTIAL", "FAIL", "NOT_CERTIFIED", "PASS",
+        "STRUCTURAL_PASS", "EssentialityReport", "check_essential",
+    ), "essential"),
+    **dict.fromkeys((
+        "intalg", "AbelianGroup", "IntMatrix", "cokernel", "invariant_factors",
+        "min_generators",
+    ), "intalg"),
+    **dict.fromkeys((
+        "openbook", "CERTIFIED", "UNCERTIFIED", "CheckedSpec", "MonodromyH1",
+        "OpenBookSpec", "RankCertificate", "h1_open_book", "h1_rank",
+        "intersection_form", "rank_certificate", "stabilize", "transvection",
+        "validate_monodromy", "validate_spec",
+    ), "openbook"),
+    **dict.fromkeys((
+        "paths", "A_MOVE", "S_MOVE", "PantsMove", "PantsPath", "apply_move",
+        "common_curves", "enumerate_pairings", "move_kind", "replay",
+        "search_path", "validate_path",
+    ), "paths"),
+    **dict.fromkeys(("reports", "Issue", "ValidationReport"), "reports"),
+    **dict.fromkeys((
+        "surfaces", "CurveId", "Multicurve", "PantsDecomposition", "SurfaceSig",
+        "canonical_key", "cut_structure", "find_isomorphism",
+        "standard_decomposition", "validate_pants",
+    ), "surfaces"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    try:
+        source = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{__name__}.{source}")
+    return module if name == source else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

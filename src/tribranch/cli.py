@@ -12,6 +12,12 @@ Global flags: ``--report FILE`` (default: the JSON report goes to stdout),
 Exit codes: 0 on success (for certify: verdict Essential), 1 on a domain
 failure, 2 on an I/O or schema failure; never anything else.
 
+Each verb compiles only the modules it runs.  Every verb loads ``schema``
+and ``openbook`` (with ``intalg``, ``paths``, ``surfaces``, ``reports`` and
+``errors`` under them); ``construct`` also loads ``complexes``, and
+``certify`` loads ``complexes`` and ``essential``.  Those two are imported
+inside their commands, so ``validate`` and ``homology`` never compile them.
+
 Reports are canonical JSON and byte-identical across repeated runs on the
 same input.  ``certify --timings`` adds wall-clock times to the report, the
 total and one entry per pipeline stage, and is therefore excluded from the
@@ -25,9 +31,7 @@ import functools
 import sys
 import time
 
-from .complexes import construct_naive, construct_outer, euler_audit, check_local_models
 from .errors import MonodromyError, SchemaError, TribranchError
-from .essential import ESSENTIAL, check_essential
 from .openbook import rank_certificate, validate_spec
 from .schema import (
     REPORT_FORMAT,
@@ -104,6 +108,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .complexes import construct_naive, construct_outer, euler_audit
+
     spec, digest = load_spec_file(args.spec)
     report = _base_report("construct", args.spec, digest, spec)
     report["mode"] = args.mode
@@ -140,6 +146,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .complexes import check_local_models, construct_outer
+    from .essential import ESSENTIAL, check_essential
+
     started = last = time.monotonic()
     stages = {}
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -609,15 +610,93 @@ def test_pairing_on_an_s_move_is_a_failed_move(tmp_path, capsys):
         }]
 
 
-def test_cli_import_leaves_dataclasses_unloaded():
-    # Building dataclass records and importing `dataclasses` (with inspect,
-    # ast and dis) cost about 30 ms of every `tribranch` process.  `-S`
-    # keeps site hooks from loading it on their own.
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package.
+
+    ``-S`` keeps site hooks from importing modules on their own.
+    """
     src = str(Path(tribranch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import tribranch.cli, sys; print('dataclasses' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    )
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # Building dataclass records and importing `dataclasses` (with inspect,
+    # ast and dis) cost about 30 ms of every `tribranch` process.
+    out = _fresh_python("import tribranch.cli, sys; print('dataclasses' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # Exports resolve on first use, so a bare import compiles only __init__.
+    out = _fresh_python(
+        "import sys, tribranch; print(sorted(m for m in sys.modules if m.startswith('tribranch')))")
+    assert out.stdout.strip() == "['tribranch']"
+
+
+# The modules every verb loads: the CLI, the spec reader and the open book
+# checks with the modules under them; then the modules each verb adds.
+CLI_MODULES = {"cli", "errors", "intalg", "openbook", "paths", "reports", "schema", "surfaces"}
+VERB_MODULES = {
+    "validate": set(),
+    "homology": set(),
+    "construct": {"complexes"},
+    "certify": {"complexes", "essential"},
+}
+
+
+@pytest.mark.parametrize("verb", VERB_MODULES)
+def test_each_verb_loads_only_the_modules_it_runs(verb, tmp_path):
+    # The verb runs as `python -m tribranch` does, and the modules are listed
+    # as the process exits.
+    argv = [verb, str(FIXTURES / "f05_identity.json"), "--quiet",
+            "--report", str(tmp_path / "report.json")]
+    if verb == "construct":
+        argv += ["--mode", "outer", "--out", str(tmp_path / "complex.json")]
+    out = _fresh_python(
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules"
+        " if m.startswith('tribranch.'))))\n"
+        f"sys.argv = ['tribranch'] + {argv!r}\n"
+        "runpy.run_module('tribranch', run_name='__main__')\n",
+    )
+    expected = sorted(f"tribranch.{m}" for m in CLI_MODULES | VERB_MODULES[verb])
+    assert out.stdout.strip() == str(expected)
+    assert json.loads((tmp_path / "report.json").read_text())["exit_code"] == 0
+
+
+def test_exports_resolve_through_their_submodules(monkeypatch):
+    # Every export is its submodule's attribute, read on each access: the
+    # package keeps no copy, so a name rebound in its submodule (as the
+    # benchmark tracer does) is rebound in the package too.
+    namespace = {}
+    exec("from tribranch import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(tribranch.__all__)
+    for name in tribranch.__all__:
+        module = importlib.import_module(f"tribranch.{tribranch._SOURCE[name]}")
+        expected = module if module.__name__ == f"tribranch.{name}" else getattr(module, name)
+        assert getattr(tribranch, name) is expected is namespace[name], name
+    assert set(tribranch.__all__) <= set(dir(tribranch))
+    assert "construct_outer" not in vars(tribranch)
+    spy = object()
+    monkeypatch.setattr(tribranch.complexes, "construct_outer", spy)
+    assert tribranch.construct_outer is spy
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tribranch.no_such_name
+
+
+def test_certify_reaches_construct_outer_through_its_module(monkeypatch, capsys):
+    # The benchmark tracer counts calls by rebinding module attributes, so
+    # the command must look its functions up when it runs.
+    original = tribranch.complexes.construct_outer
+    calls = []
+
+    def spy(checked):
+        calls.append(checked.spec.name)
+        return original(checked)
+
+    monkeypatch.setattr(tribranch.complexes, "construct_outer", spy)
+    code, out, _ = run(capsys, "certify", FIXTURES / "f05_identity.json", "--quiet")
+    assert code == 0
+    assert calls == [report_of(out)["name"]]
