@@ -40,20 +40,22 @@ _SOURCE = {
     **dict.fromkeys((
         "openbook", "CERTIFIED", "UNCERTIFIED", "CheckedSpec", "MonodromyH1",
         "OpenBookSpec", "RankCertificate", "h1_open_book", "h1_rank",
-        "intersection_form", "rank_certificate", "stabilize", "transvection",
-        "validate_monodromy", "validate_spec",
+        "rank_certificate", "validate_monodromy", "validate_spec",
     ), "openbook"),
     **dict.fromkeys((
         "paths", "A_MOVE", "S_MOVE", "PantsMove", "PantsPath", "apply_move",
         "common_curves", "enumerate_pairings", "move_kind", "replay",
-        "search_path", "validate_path",
+        "validate_path",
     ), "paths"),
     **dict.fromkeys(("reports", "Issue", "ValidationReport"), "reports"),
     **dict.fromkeys((
         "surfaces", "CurveId", "Multicurve", "PantsDecomposition", "SurfaceSig",
-        "canonical_key", "cut_structure", "find_isomorphism",
-        "standard_decomposition", "validate_pants",
+        "cut_structure", "validate_pants",
     ), "surfaces"),
+    **dict.fromkeys(("canonical_key", "find_isomorphism", "search_path"), "search"),
+    **dict.fromkeys((
+        "intersection_form", "stabilize", "standard_decomposition", "transvection",
+    ), "builders"),
 }
 
 __version__ = "0.1.0"
@@ -61,13 +63,21 @@ __version__ = "0.1.0"
 __all__ = sorted(_SOURCE)
 
 
-def __getattr__(name):
-    try:
-        source = _SOURCE[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = importlib.import_module(f"{__name__}.{source}")
-    return module if name == source else getattr(module, name)
+def _resolver(owner: str, source: dict):
+    """A module ``__getattr__`` for module ``owner`` that reads each name of
+    ``source`` from the submodule it maps to, on every access."""
+    def __getattr__(name):
+        try:
+            sub = source[name]
+        except KeyError:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}") from None
+        module = importlib.import_module(f"{__name__}.{sub}")
+        return module if name == sub else getattr(module, name)
+
+    return __getattr__
+
+
+__getattr__ = _resolver(__name__, _SOURCE)
 
 
 def __dir__():

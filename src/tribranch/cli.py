@@ -16,7 +16,9 @@ Each verb compiles only the modules it runs.  Every verb loads ``schema``
 and ``openbook`` (with ``intalg``, ``paths``, ``surfaces``, ``reports`` and
 ``errors`` under them); ``construct`` also loads ``complexes``, and
 ``certify`` loads ``complexes`` and ``essential``.  Those two are imported
-inside their commands, so ``validate`` and ``homology`` never compile them.
+inside their commands; ``certify`` imports each in the stage that runs it,
+so a spec that fails to parse or validate compiles neither.  No verb loads
+``search``, ``builders`` or ``snf``.
 
 Reports are canonical JSON and byte-identical across repeated runs on the
 same input.  ``certify --timings`` adds wall-clock times to the report, the
@@ -146,9 +148,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .complexes import check_local_models, construct_outer
-    from .essential import ESSENTIAL, check_essential
-
     started = last = time.monotonic()
     stages = {}
 
@@ -171,6 +170,8 @@ def cmd_certify(args) -> int:
         cert = rank_certificate(spec)
         report["certificate"] = cert.to_json()
         lap("homology")
+        from .complexes import check_local_models, construct_outer
+
         tc = construct_outer(checked)
         lap("construct")
     except TribranchError as err:
@@ -182,6 +183,8 @@ def cmd_certify(args) -> int:
     if not local.ok:
         return _emit(report, EXIT_DOMAIN, args,
                      [f"local models dirty: {local.summary()}"])
+    from .essential import ESSENTIAL, check_essential
+
     essentiality = check_essential(tc, cert, local)
     lap("essentiality")
     inventory = report["inventory"] = tc.inventory()

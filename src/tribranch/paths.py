@@ -1,4 +1,4 @@
-"""Elementary moves on pants decompositions, paths and breadth-first search.
+"""Elementary moves on pants decompositions, and paths of moves.
 
 An elementary move replaces exactly one curve of a pants decomposition:
 
@@ -22,42 +22,29 @@ to a decorated-graph isomorphism respecting leg labels (the monodromy fixes
 the boundary pointwise, so the image system is leg-respecting isomorphic to
 the original).
 
-Search operates on leg-respecting isomorphism classes of decorated graphs,
-which is weaker than isotopy classes of curve systems on the surface, but it
-is exactly the granularity the downstream constructions consume.  A node's
-candidates are the two genuine re-pairings of each of its non-loop curves:
-an S-move, or an A-move that keeps the original grouping, only renames the
-curve and permutes slots on its support pants, so it never leaves the
-node's class.  A candidate the search may still expand costs one
-:func:`canonical_key`, a colour refinement rather than a loop over vertex
-orders.  One past the search's horizon can only be the target, and is first
-compared with it by :func:`key_shape`, which costs about a fifth of a key.
-
 Every A-move ends in one application step, which places the two groups of
 a re-pairing on the support pants.  :func:`apply_move` checks a move before
-that step; the search hands its candidates to the step directly, since
-:func:`enumerate_pairings` builds them legal, so a candidate costs no move
-check, only the rebuilt ``edges`` and ``legs``.
+that step; ``search_path`` (in ``search``, resolved here on each access)
+hands its candidates to the step directly.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
-from itertools import count
+from collections import namedtuple
 
+from . import _resolver
 from .errors import MoveError, TribranchError
 from .reports import ValidationReport
 from .surfaces import (
     CurveId,
     Multicurve,
     PantsDecomposition,
-    canonical_key,
     components,
-    find_isomorphism,
-    key_shape,
     validate_pants,
     vertex_map_from_curve_bijection,
 )
+
+__getattr__ = _resolver(__name__, {"search_path": "search"})
 
 A_MOVE = "A"
 S_MOVE = "S"
@@ -156,7 +143,7 @@ def apply_move(pd: PantsDecomposition, mv: PantsMove) -> PantsDecomposition:
     With no pairing, an A-move keeps the original grouping.  Raises
     :class:`MoveError` on an unknown curve, a clashing fresh id, a kind
     inconsistent with the support, a pairing on an S-move or an illegal
-    re-pairing.  A checked A-move goes to the step :func:`search_path` also
+    re-pairing.  A checked A-move goes to the step ``search.search_path`` also
     uses, with its groups sorted, so a pairing's result does not depend on
     the order in which its cuffs are written.
     """
@@ -210,7 +197,7 @@ def _apply_repairing(pd, removed, added, pairing) -> PantsDecomposition:
     group in sorted order and the group holding the smallest cuff first (the
     form :func:`enumerate_pairings` gives), and ``added`` must be a curve id
     absent from ``pd``.  :func:`apply_move` establishes this for any move;
-    :func:`search_path` holds it by construction.
+    ``search.search_path`` holds it by construction.
     """
     # The two support pants keep their ids; the group containing the
     # smallest cuff goes to the smaller pants id.  Slot 1 of each new pants
@@ -361,100 +348,3 @@ def _breaks_leg_adjacency(final, start, closure) -> bool:
     src = leg_adjacent(final)
     dst = leg_adjacent(start)
     return any((c in src) != (closure[c] in dst) for c in closure)
-
-
-def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int):
-    """Breadth-first search for a move sequence from ``c`` onto ``c_target``.
-
-    The search runs over leg-respecting isomorphism classes of decorated
-    graphs, expanding the two genuine re-pairings of every non-loop curve
-    (indices 1 and 2 of :func:`enumerate_pairings`), curve ids in sorted
-    order.  S-moves and index 0 are skipped: they land in the class of the
-    node being expanded, which is already seen, so expanding them would
-    change neither the moves, nor the fresh ids, nor the closure.  The
-    candidates skip :func:`apply_move`'s checks, which they pass by
-    construction, and give the decomposition it would.  At most
-    ``budget`` nodes are expanded; exhaustion returns ``None`` (not an
-    error); a budget that is not a positive ``int`` (a ``bool``, a float,
-    a string) is a :class:`TribranchError`.  On success the returned path
-    carries the found isomorphism as its closure and always satisfies
-    :func:`validate_path`.
-
-    Only the start and the first ``budget - 1`` classes queued are ever
-    expanded.  Past that horizon a candidate can only be the target, so it
-    is keyed only when its :func:`key_shape` matches the target's; the
-    others are kept in order and keyed only if the target turns up, since
-    the new classes before it fix its fresh id.  The results are those of
-    the search that keys every candidate.
-    """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise TribranchError("budget must be a positive integer")
-    sig = c.surface_sig()
-    if sig != c_target.surface_sig():
-        raise TribranchError(
-            f"surface mismatch: {sig} vs {c_target.surface_sig()}"
-        )
-    if not validate_pants(sig, c).ok or not validate_pants(sig, c_target).ok:
-        raise TribranchError("both decompositions must be valid for the search")
-
-    target_key = canonical_key(c_target)
-
-    def finish(pd, moves):
-        # The closure records the realized isomorphism onto the target.  When
-        # the target carries the same curve ids as the start (the closed-up
-        # monodromy use), the result is a complete path accepted by
-        # validate_path; otherwise it is an open fragment.
-        iso = find_isomorphism(pd, c_target)
-        if iso is None:
-            raise TribranchError("search reached the target class without an isomorphism")
-        _, emap = iso
-        return PantsPath(start=c, moves=moves, closure=dict(emap))
-
-    start_key = canonical_key(c)
-    if start_key == target_key:
-        return finish(c, [])
-
-    # Fresh curve ids n1, n2, ... skip the ids of the start system, so they
-    # never clash with a curve that is still present.
-    fresh_ids = (f"n{j}" for j in count(1) if f"n{j}" not in c.edges)
-    fresh = next(fresh_ids)
-    seen = {start_key}
-    queue = deque([(c, [])])
-    target_shape = key_shape(c_target)
-    past_horizon = []
-    expanded = 0
-    while queue and expanded < budget:
-        pd, moves = queue.popleft()
-        expanded += 1
-        for curve in pd.curve_ids():
-            if pd.is_self_loop(curve):
-                continue
-            for pairing in enumerate_pairings(pd, curve)[1:]:
-                # apply_move's checks hold by construction: the curve is no
-                # self-loop, so the move is an A-move; enumerate_pairings
-                # splits exactly its support cuffs two-and-two, in sorted
-                # groups; the fresh id skips the start's curves and every id
-                # already used, so no queued decomposition carries it.
-                nxt = _apply_repairing(pd, curve, fresh, pairing)
-                if len(seen) < budget:
-                    key = canonical_key(nxt)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    path = moves + [PantsMove(curve, fresh, A_MOVE, pairing)]
-                    fresh = next(fresh_ids)
-                    if key == target_key:
-                        return finish(nxt, path)
-                    queue.append((nxt, path))
-                elif key_shape(nxt) != target_shape or canonical_key(nxt) != target_key:
-                    past_horizon.append(nxt)
-                else:
-                    # Each new class before the target used up a fresh id.
-                    for earlier in past_horizon:
-                        key = canonical_key(earlier)
-                        if key not in seen:
-                            seen.add(key)
-                            fresh = next(fresh_ids)
-                    mv = PantsMove(curve, fresh, A_MOVE, pairing)
-                    return finish(_apply_repairing(pd, curve, fresh, pairing), moves + [mv])
-    return None

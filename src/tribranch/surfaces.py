@@ -22,14 +22,23 @@ with ``b`` boundary circles and Euler characteristic ``chi = 2 - 2g - b``:
 
 Surfaces with ``chi >= 0`` (disc, annulus, sphere, torus) admit no pants
 decomposition and are reported as such by :func:`validate_pants`.
+
+``canonical_key``, ``key_shape``, ``find_isomorphism`` (in ``search``) and
+``standard_decomposition`` (in ``builders``) resolve here on each access.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 
+from . import _resolver
 from .errors import TribranchError
 from .reports import ValidationReport
+
+__getattr__ = _resolver(__name__, {
+    **dict.fromkeys(("canonical_key", "find_isomorphism", "key_shape"), "search"),
+    "standard_decomposition": "builders",
+})
 
 # Curves are identified by opaque strings, stable under serialization.
 CurveId = str
@@ -258,167 +267,9 @@ def cut_structure(pd: PantsDecomposition, cut: set) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism of decorated graphs.
-#
-# Two decompositions are compared as decorated trivalent multigraphs with
-# labelled legs; curve ids, pants ids and slot numbers are bookkeeping and
-# carry no meaning.  canonical_key and find_isomorphism read the leaves of
-# one search, individualisation-refinement (McKay & Piperno, Practical graph
-# isomorphism II, J. Symbolic Comput. 60, 2014).  A pants starts coloured by
-# its leg labels and self-loop count, and colour classes are split by the
-# sorted colours of the non-loop neighbours until the partition is stable or
-# discrete.  A colour is always the rank of a sorted signature, never a
-# pants id, so colours are comparable between two decompositions.  A leaf
-# is a discrete colouring, numbering the pants 0..V-1; the leaves with one
-# encoding differ exactly by the automorphisms of the graph.  Extending a
-# given curve bijection needs no search: the curves fix every pants, so it
-# is a lookup by pants content.
+# Extending a given curve bijection needs no isomorphism search: the curves
+# fix every pants, so it is a lookup by pants content.
 # ---------------------------------------------------------------------------
-
-
-def _encoding(pd: PantsDecomposition, index: dict) -> tuple:
-    """The sorted edge list and the leg positions under a vertex numbering."""
-    edges = []
-    for (u, _), (v, _) in pd.edges.values():
-        i, j = index[u], index[v]
-        edges.append((i, j) if i <= j else (j, i))
-    edges.sort()
-    legs = tuple(index[pd.legs[label][0]] for label in sorted(pd.legs))
-    return (tuple(edges), legs)
-
-
-def _ranks(signature: dict) -> dict:
-    rank = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-    return {p: rank[sig] for p, sig in signature.items()}
-
-
-def _refine(colour: dict, nbrs: dict) -> dict:
-    """Split colour classes by the sorted colours of the neighbours.
-
-    Stops when a round splits nothing or when every pants has a colour of
-    its own, since a discrete colouring cannot split further.
-    """
-    n_colours = len(set(colour.values()))
-    while n_colours < len(colour):
-        finer = _ranks({p: (c, tuple(sorted(colour[q] for q in nbrs[p])))
-                        for p, c in colour.items()})
-        n_finer = len(set(finer.values()))
-        if n_finer == n_colours:
-            break
-        colour, n_colours = finer, n_finer
-    return colour
-
-
-def _colours(pd: PantsDecomposition):
-    """The stable colouring of ``pd`` and the graph it was refined on.
-
-    Returns ``(colour, nbrs)``: per pants its colour and the far ends of its
-    other curves.  Leg labels and self-loop counts seed the first colouring.
-    """
-    legs = {p: () for p in pd.pants}
-    loops = dict.fromkeys(pd.pants, 0)
-    nbrs = {p: [] for p in pd.pants}
-    for label in sorted(pd.legs):
-        legs[pd.legs[label][0]] += (label,)
-    for (u, _), (v, _) in pd.edges.values():
-        if u == v:
-            loops[u] += 1
-        else:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return _refine(_ranks({p: (legs[p], loops[p]) for p in pd.pants}), nbrs), nbrs
-
-
-def _leaves(pd: PantsDecomposition):
-    """Yield ``(encoding, colour)`` at every leaf of the search tree of ``pd``.
-
-    Individualisation-refinement: when the stable colouring leaves a class of
-    several pants, each pants of the first such class is given a colour of
-    its own in turn and the colouring is refined again.  Every leaf is a
-    discrete colouring, which numbers the pants by colour.  A page with a
-    large automorphism group has one leaf per automorphism; leg labels pin
-    most pants, so pages seldom have one.
-    """
-    colour, nbrs = _colours(pd)
-    stack = [colour]
-    while stack:
-        colour = stack.pop()
-        if len(set(colour.values())) == len(colour):
-            yield _encoding(pd, colour), colour
-            continue
-        cells = {}
-        for p, c in colour.items():
-            cells.setdefault(c, []).append(p)
-        split = min(c for c, members in cells.items() if len(members) > 1)
-        stack += (_refine(_ranks({q: (c, q != p) for q, c in colour.items()}), nbrs)
-                  for p in cells[split])
-
-
-def canonical_key(pd: PantsDecomposition) -> tuple:
-    """Canonical form of the decorated graph: the smallest leaf encoding.
-
-    For decompositions with the same leg labels, the keys are equal iff the
-    decompositions are leg-respecting isomorphic.  The key records where
-    each label sits, not the label values.
-    """
-    return min(enc for enc, _ in _leaves(pd))
-
-
-def key_shape(pd: PantsDecomposition) -> list:
-    """A cheap invariant of :func:`canonical_key`: each pants' leg ranks and
-    self-loop count, sorted.
-
-    A leg's rank is its label's place among the sorted labels.  Each pants
-    with a leg or a self-loop gives the list of its leg ranks in order,
-    followed by one -1 per self-loop; the shape is the sorted list of those
-    lists.  It is a function of the key: the key's leg tuple gives, for
-    each rank, the number of the pants the leg sits on, and its edge list
-    holds each self-loop as a pair ``(i, i)``; grouping both by pants and
-    sorting the groups forgets the numbering.  So equal keys give equal
-    shapes, and a search can rule a candidate out by its shape at about a
-    fifth of the price of its key.
-    """
-    cells = {}
-    for rank, label in enumerate(sorted(pd.legs)):
-        cells.setdefault(pd.legs[label][0], []).append(rank)
-    for (u, _), (v, _) in pd.edges.values():
-        if u == v:
-            cells.setdefault(u, []).append(-1)
-    return sorted(cells.values())
-
-
-def find_isomorphism(a: PantsDecomposition, b: PantsDecomposition):
-    """A decorated-graph isomorphism of ``a`` onto ``b`` respecting leg labels.
-
-    Returns ``(vertex_map, edge_map)`` or ``None``.  A leaf of ``b`` with
-    the smallest encoding, composed with each leaf of ``a`` with that same
-    encoding, gives every isomorphism; the lexicographically smallest vertex
-    map is returned, so the result is deterministic.  On a page with a large
-    automorphism group this costs about two :func:`canonical_key` calls.
-    Parallel curves are matched in sorted id order.
-    """
-    if sorted(a.legs) != sorted(b.legs):
-        return None
-    best, leaf_b = min(_leaves(b), key=lambda leaf: leaf[0])
-    pants_b = {c: q for q, c in leaf_b.items()}
-    vmap = min((sorted((p, pants_b[c]) for p, c in colour.items())
-                for enc, colour in _leaves(a) if enc == best), default=None)
-    if vmap is None:
-        return None
-    vmap = dict(vmap)
-    # Match parallel-edge classes: curves with the same image endpoints pair up in id order.
-    need = {}
-    for c in sorted(a.edges):
-        key = tuple(sorted((vmap[a.edges[c][0][0]], vmap[a.edges[c][1][0]])))
-        need.setdefault(key, []).append(c)
-    have = {}
-    for c in sorted(b.edges):
-        have.setdefault(tuple(sorted((b.edges[c][0][0], b.edges[c][1][0]))), []).append(c)
-    emap = {}
-    for key in need:
-        for ca, cb in zip(need[key], have[key]):
-            emap[ca] = cb
-    return vmap, emap
 
 
 def _pants_by_content(pd: PantsDecomposition, name) -> dict:
@@ -457,47 +308,3 @@ def vertex_map_from_curve_bijection(a: PantsDecomposition, b: PantsDecomposition
             key: len(qs) for key, qs in groups_b.items()}:
         return None
     return dict(sorted(pq for key, ps in groups_a.items() for pq in zip(ps, groups_b[key])))
-
-
-# ---------------------------------------------------------------------------
-# Stock decompositions, used by fixtures and the random generators.
-# ---------------------------------------------------------------------------
-
-
-def standard_decomposition(sig: SurfaceSig) -> PantsDecomposition:
-    """A concrete pants decomposition of ``sig`` (needs chi < 0, genus <= 2).
-
-    The shape is a chain of pants P0 - P1 - ... with self-loops attached at
-    the chain ends to realize the genus, and legs filling the remaining
-    cuffs in order.
-    """
-    if sig.euler_char >= 0:
-        raise TribranchError(f"{sig} admits no pants decomposition")
-    if sig.genus > 2:
-        raise TribranchError("standard_decomposition supports genus <= 2")
-    v = 2 * sig.genus + sig.n_boundary - 2
-    pants = [f"P{i}" for i in range(v)]
-    edges = {}
-    free = {p: [1, 2, 3] for p in pants}
-    n_curve = 0
-
-    def take(p):
-        return free[p].pop(0)
-
-    for i in range(v - 1):
-        n_curve += 1
-        edges[f"c{n_curve}"] = ((pants[i], take(pants[i])), (pants[i + 1], take(pants[i + 1])))
-    loop_sites = [pants[0], pants[-1]]
-    for i in range(sig.genus):
-        p = loop_sites[i % 2]
-        n_curve += 1
-        edges[f"c{n_curve}"] = ((p, take(p)), (p, take(p)))
-    legs = {}
-    label = 1
-    for p in pants:
-        while free[p]:
-            legs[label] = (p, take(p))
-            label += 1
-    if label - 1 != sig.n_boundary:
-        raise TribranchError(f"standard decomposition of {sig} has {label - 1} legs")
-    return PantsDecomposition.build(pants, edges, legs)

@@ -636,22 +636,27 @@ def test_package_import_loads_no_submodule():
 
 
 # The modules every verb loads: the CLI, the spec reader and the open book
-# checks with the modules under them; then the modules each verb adds.
+# checks with the modules under them; then the modules each run adds.  A
+# certify that stops at the parser or at validation adds none.  No run loads
+# `search`, `builders` or `snf`.
 CLI_MODULES = {"cli", "errors", "intalg", "openbook", "paths", "reports", "schema", "surfaces"}
-VERB_MODULES = {
-    "validate": set(),
-    "homology": set(),
-    "construct": {"complexes"},
-    "certify": {"complexes", "essential"},
+UNLOADED_MODULES = {"builders", "search", "snf"}
+VERB_RUNS = {
+    "validate": ("validate", "f05_identity.json", 0, set()),
+    "homology": ("homology", "f05_identity.json", 0, set()),
+    "construct": ("construct", "f05_identity.json", 0, {"complexes"}),
+    "certify": ("certify", "f05_identity.json", 0, {"complexes", "essential"}),
+    "certify-truncated": ("certify", "truncated.json", 2, set()),
+    "certify-invalid": ("certify", "f05_wrong_matrix.json", 1, set()),
 }
 
 
-@pytest.mark.parametrize("verb", VERB_MODULES)
-def test_each_verb_loads_only_the_modules_it_runs(verb, tmp_path):
-    # The verb runs as `python -m tribranch` does, and the modules are listed
-    # as the process exits.
-    argv = [verb, str(FIXTURES / "f05_identity.json"), "--quiet",
-            "--report", str(tmp_path / "report.json")]
+@pytest.mark.parametrize("run_name", VERB_RUNS)
+def test_each_verb_loads_only_the_modules_it_runs(run_name, tmp_path):
+    # The verb runs as `python -m tribranch` does; its exit code is printed,
+    # and the modules are listed as the process exits.
+    verb, spec, exit_code, added = VERB_RUNS[run_name]
+    argv = [verb, str(FIXTURES / spec), "--quiet", "--report", str(tmp_path / "report.json")]
     if verb == "construct":
         argv += ["--mode", "outer", "--out", str(tmp_path / "complex.json")]
     out = _fresh_python(
@@ -659,11 +664,18 @@ def test_each_verb_loads_only_the_modules_it_runs(verb, tmp_path):
         "atexit.register(lambda: print(sorted(m for m in sys.modules"
         " if m.startswith('tribranch.'))))\n"
         f"sys.argv = ['tribranch'] + {argv!r}\n"
-        "runpy.run_module('tribranch', run_name='__main__')\n",
+        "try:\n"
+        "    runpy.run_module('tribranch', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    print(done.code)\n",
     )
-    expected = sorted(f"tribranch.{m}" for m in CLI_MODULES | VERB_MODULES[verb])
-    assert out.stdout.strip() == str(expected)
-    assert json.loads((tmp_path / "report.json").read_text())["exit_code"] == 0
+    code, loaded = out.stdout.splitlines()
+    assert int(code) == exit_code
+    expected = sorted(f"tribranch.{m}" for m in CLI_MODULES | added)
+    assert loaded == str(expected)
+    assert not [m for m in UNLOADED_MODULES if f"'tribranch.{m}'" in loaded]
+    if exit_code != 2:
+        assert json.loads((tmp_path / "report.json").read_text())["exit_code"] == exit_code
 
 
 def test_exports_resolve_through_their_submodules(monkeypatch):
@@ -684,6 +696,47 @@ def test_exports_resolve_through_their_submodules(monkeypatch):
     assert tribranch.construct_outer is spy
     with pytest.raises(AttributeError, match="no_such_name"):
         tribranch.no_such_name
+
+
+# Each name that moved to a module no verb loads: its old module -> names.
+MOVED = {
+    "search": {
+        "surfaces": ("canonical_key", "find_isomorphism", "key_shape"),
+        "paths": ("search_path",),
+    },
+    "builders": {
+        "surfaces": ("standard_decomposition",),
+        "openbook": ("StabilizationResult", "intersection_form", "stabilize",
+                     "transvection"),
+    },
+    "snf": {"intalg": ("SnfResult", "determinantal_divisors", "smith_normal_form")},
+}
+
+
+def test_moved_names_resolve_through_their_old_modules(monkeypatch):
+    # The old module reads each moved name from its new module on every
+    # access and keeps no copy, so the package, the old module and the new
+    # one agree, and a name rebound in its new module (as the benchmark
+    # tracer does) is rebound through the old path too.
+    for new, olds in MOVED.items():
+        home = importlib.import_module(f"tribranch.{new}")
+        for old, names in olds.items():
+            module = importlib.import_module(f"tribranch.{old}")
+            for name in names:
+                value = getattr(home, name)
+                assert getattr(module, name) is value, (old, name)
+                if name in tribranch.__all__:
+                    assert tribranch._SOURCE[name] == new
+                    assert getattr(tribranch, name) is value, name
+                assert name not in vars(module), (old, name)
+                spy = object()
+                monkeypatch.setattr(home, name, spy)
+                assert getattr(module, name) is spy, (old, name)
+                assert name not in vars(module), (old, name)
+    for old in ("surfaces", "paths", "openbook", "intalg"):
+        module = importlib.import_module(f"tribranch.{old}")
+        with pytest.raises(AttributeError, match=f"tribranch.{old}.*no_such_name"):
+            module.no_such_name
 
 
 def test_certify_reaches_construct_outer_through_its_module(monkeypatch, capsys):

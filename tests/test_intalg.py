@@ -13,7 +13,7 @@ from tribranch import (
     invariant_factors,
     min_generators,
 )
-from tribranch import intalg
+from tribranch import intalg, snf
 from tribranch.intalg import determinantal_divisors, smith_normal_form
 
 from genutils import (
@@ -168,7 +168,7 @@ def test_cokernel_never_runs_the_transform_tracking_snf(monkeypatch):
         calls.append(a)
         return smith_normal_form(a)
 
-    monkeypatch.setattr(intalg, "smith_normal_form", counted)
+    monkeypatch.setattr(snf, "smith_normal_form", counted)
     assert [cokernel(a) for a in matrices] == expected
     assert calls == []
 

@@ -1,4 +1,4 @@
-"""The isomorphism routines of ``surfaces`` against the exhaustive oracles."""
+"""The isomorphism routines of ``search`` and ``surfaces`` against the exhaustive oracles."""
 
 import itertools
 from collections import Counter
@@ -13,7 +13,7 @@ from tribranch import (
     standard_decomposition,
     validate_pants,
 )
-from tribranch import surfaces
+from tribranch import search, surfaces
 from tribranch.surfaces import vertex_map_from_curve_bijection
 
 from genutils import make_rng, random_decomposition, random_move, random_page
@@ -52,7 +52,7 @@ def check_against_oracles(a, b, rng):
 
 def check_refinement(pd):
     """Colouring and key equal those of the refinement that always confirms."""
-    assert surfaces._colours(pd) == oracles.stable_colours(pd)
+    assert search._colours(pd) == oracles.stable_colours(pd)
     assert canonical_key(pd) == oracles.individualised_key(pd)
 
 
@@ -110,13 +110,13 @@ def test_key_of_a_page_pinned_by_its_legs_ranks_once(monkeypatch):
     # from the start, so no refinement round is needed to confirm them.
     pd = standard_decomposition(SurfaceSig(0, 5))
     calls = []
-    ranks = surfaces._ranks
+    ranks = search._ranks
 
     def spy(signature):
         calls.append(signature)
         return ranks(signature)
 
-    monkeypatch.setattr(surfaces, "_ranks", spy)
+    monkeypatch.setattr(search, "_ranks", spy)
     key = canonical_key(pd)
     assert len(calls) == 1
     assert key == oracles.individualised_key(pd)

@@ -29,11 +29,8 @@ from tribranch import (
 )
 from tribranch import intalg, openbook
 from tribranch.intalg import smith_normal_form
-from tribranch.openbook import (
-    _stabilized_basis_change,
-    _to_stabilized_basis,
-    preserves_intersection_form,
-)
+from tribranch.builders import _stabilized_basis_change, _to_stabilized_basis
+from tribranch.openbook import preserves_intersection_form
 
 from genutils import (
     dense_monodromy,

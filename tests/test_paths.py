@@ -30,7 +30,7 @@ from tribranch import (
 
 import oracles
 from test_isomorphism import CLOSED_PAGES, closed_page
-from tribranch import paths, surfaces
+from tribranch import paths, search, surfaces
 from genutils import (
     inverse_move,
     make_rng,
@@ -641,8 +641,8 @@ def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch)
     so a budget-exhausted search hands ``canonical_key`` no candidate past
     that horizon whose shape differs from the target's."""
     keyed, candidates = [], []
-    real_key = paths.canonical_key
-    real_step = paths._apply_repairing
+    real_key = search.canonical_key
+    real_step = search._apply_repairing
 
     def key_spy(pd):
         keyed.append(pd)
@@ -653,8 +653,8 @@ def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch)
         candidates.append(out)
         return out
 
-    monkeypatch.setattr(paths, "canonical_key", key_spy)
-    monkeypatch.setattr(paths, "_apply_repairing", step_spy)
+    monkeypatch.setattr(search, "canonical_key", key_spy)
+    monkeypatch.setattr(search, "_apply_repairing", step_spy)
     rng = random.Random(41)
     searches = skipped = 0
     for _ in range(80):
@@ -698,10 +698,11 @@ def test_search_applies_only_the_genuine_repairings(monkeypatch):
     """Every expanded node applies re-pairings 1 and 2 of each non-loop curve,
     in order, and nothing else; the last node may stop at the target.  Every
     A-move, with or without apply_move's checks, ends in
-    ``paths._apply_repairing``, so the spy sits there; a second spy on
-    ``paths.apply_move`` sees any S-move."""
+    ``paths._apply_repairing``, which the search calls by its own name, so
+    the spy sits there; a second spy on ``paths.apply_move`` sees any
+    S-move."""
     applied = []
-    real_step = paths._apply_repairing
+    real_step = search._apply_repairing
     real_apply_move = paths.apply_move
 
     def spy(pd, removed, added, pairing):
@@ -713,7 +714,7 @@ def test_search_applies_only_the_genuine_repairings(monkeypatch):
         assert mv.kind != S_MOVE, "the search applied an S-move"
         return real_apply_move(pd, mv)
 
-    monkeypatch.setattr(paths, "_apply_repairing", spy)
+    monkeypatch.setattr(search, "_apply_repairing", spy)
     monkeypatch.setattr(paths, "apply_move", no_s_move)
     n_loops = 0
     for start, target in search_cases():
@@ -741,7 +742,7 @@ def test_search_candidates_equal_checked_moves(monkeypatch):
     a valid decomposition whose fresh id no expanded node carries."""
     rng = random.Random(59)
     calls = []
-    real_step = paths._apply_repairing
+    real_step = search._apply_repairing
 
     def spy(pd, removed, added, pairing):
         out = real_step(pd, removed, added, pairing)
@@ -755,7 +756,7 @@ def test_search_candidates_equal_checked_moves(monkeypatch):
         target = random_decomposition(sig, rng, scramble=rng.randint(1, 4))
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(paths, "_apply_repairing", spy)
+            m.setattr(search, "_apply_repairing", spy)
             search_path(start, target, budget=rng.randint(1, 5))
         expanded_ids = set()
         for pd, removed, added, pairing, out in calls:
