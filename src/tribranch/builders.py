@@ -17,7 +17,6 @@ from collections import namedtuple
 from .errors import TribranchError
 from .intalg import IntMatrix
 from .openbook import MonodromyH1, OpenBookSpec, _checked_shapes, h1_rank
-from .paths import PantsPath
 from .surfaces import PantsDecomposition, SurfaceSig
 
 
@@ -53,7 +52,6 @@ def transvection(j_form: IntMatrix, c) -> IntMatrix:
         for i in range(k)
     ]
     return IntMatrix.from_rows(rows)
-
 
 
 def standard_decomposition(sig: SurfaceSig) -> PantsDecomposition:
@@ -147,7 +145,7 @@ class StabilizationResult(namedtuple("StabilizationResult", "spec change_of_basi
     __slots__ = ()
 
 
-def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> StabilizationResult:
+def stabilize(spec: OpenBookSpec, site: int) -> StabilizationResult:
     """Plumb a positive Hopf band at boundary circle ``site``.
 
     The page gains a 1-handle with both feet on circle ``site``: (g, b)
@@ -169,10 +167,8 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
 
     The pants path does not transport through a stabilization: the model
     tracks no isotopy data, so silently reusing the old path would fabricate
-    disjointness information.  By default the path is cleared.  With
-    ``extend_path=True`` the caller asserts the stabilizing curve is disjoint
-    from every path curve, and the path is extended by one new curve that
-    cuts off the two fresh boundary circles.
+    disjointness information.  So the stabilized spec has no path, and a
+    note says that the old one was cleared.
     """
     g, b = spec.page.genus, spec.page.n_boundary
     if isinstance(site, bool) or not isinstance(site, int) or not 1 <= site <= b:
@@ -197,24 +193,16 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     new_w = _to_stabilized_basis(spec.page, site, carried)
 
     notes = [f"stabilized at boundary circle {site}: page {spec.page} -> {new_page}"]
-    new_path = None
     if spec.pants_path is not None:
-        if extend_path:
-            new_path = _extend_path(spec.pants_path, site)
-            notes.append(
-                "pants path extended by a curve cutting off the two fresh "
-                "boundary circles (caller asserted disjointness)"
-            )
-        else:
-            notes.append(
-                "pants path cleared: isotopy data does not transport through "
-                "a stabilization (pass extend_path=True to assert disjointness)"
-            )
+        notes.append(
+            "pants path cleared: isotopy data does not transport through "
+            "a stabilization"
+        )
 
     new_spec = OpenBookSpec(
         page=new_page,
         monodromy=MonodromyH1(new_matrix),
-        pants_path=new_path,
+        pants_path=None,
         name=spec.name,
         windings=new_w,
         degenerate_path_convention=spec.degenerate_path_convention,
@@ -222,26 +210,3 @@ def stabilize(spec: OpenBookSpec, site: int, extend_path: bool = False) -> Stabi
     return StabilizationResult(
         spec=new_spec, change_of_basis=p, notes=tuple(notes)
     )
-
-
-def _extend_path(path: PantsPath, site: int) -> PantsPath:
-    """Append a pants cutting off the two fresh boundary circles at ``site``."""
-    start = path.start
-    b = start.n_legs
-    pants_id = "Pstab"
-    while pants_id in start.pants:
-        pants_id += "x"
-    curve_id = "cstab"
-    while curve_id in start.edges:
-        curve_id += "x"
-    old_cuff = start.legs[site]
-    pants = set(start.pants) | {pants_id}
-    edges = dict(start.edges)
-    edges[curve_id] = (old_cuff, (pants_id, 1))
-    legs = dict(start.legs)
-    legs[site] = (pants_id, 2)
-    legs[b + 1] = (pants_id, 3)
-    new_start = type(start)(pants=frozenset(pants), edges=edges, legs=legs)
-    closure = dict(path.closure)
-    closure[curve_id] = curve_id
-    return PantsPath(start=new_start, moves=list(path.moves), closure=closure)

@@ -22,8 +22,8 @@ so a spec that fails to parse or validate compiles neither.  No verb loads
 
 Reports are canonical JSON and byte-identical across repeated runs on the
 same input.  ``certify --timings`` adds wall-clock times to the report, the
-total and one entry per pipeline stage, and is therefore excluded from the
-determinism guarantee.
+total and one entry per pipeline stage that ran, also when the run stops
+early, and is therefore excluded from the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -157,6 +157,12 @@ def cmd_certify(args) -> int:
         stages[stage] = round(now - last, 6)
         last = now
 
+    def emit(exit_code, lines):
+        # On every exit the timings cover the stages that completed.
+        if args.timings:
+            report["timings"] = {"seconds": round(last - started, 6), "stages": stages}
+        return _emit(report, exit_code, args, lines)
+
     spec, digest = load_spec_file(args.spec)
     report = _base_report("certify", args.spec, digest, spec)
     lap("parse")
@@ -164,8 +170,7 @@ def cmd_certify(args) -> int:
     report["validation"] = checked.report.to_json()
     lap("validate")
     if not checked.report.ok:
-        return _emit(report, EXIT_DOMAIN, args,
-                     [f"spec invalid: {checked.report.summary()}"])
+        return emit(EXIT_DOMAIN, [f"spec invalid: {checked.report.summary()}"])
     try:
         cert = rank_certificate(spec)
         report["certificate"] = cert.to_json()
@@ -176,13 +181,12 @@ def cmd_certify(args) -> int:
         lap("construct")
     except TribranchError as err:
         report["error"] = str(err)
-        return _emit(report, EXIT_DOMAIN, args, [f"certification failed: {err}"])
+        return emit(EXIT_DOMAIN, [f"certification failed: {err}"])
     local = check_local_models(tc)
     report["local_models"] = local.to_json()
     lap("local_models")
     if not local.ok:
-        return _emit(report, EXIT_DOMAIN, args,
-                     [f"local models dirty: {local.summary()}"])
+        return emit(EXIT_DOMAIN, [f"local models dirty: {local.summary()}"])
     from .essential import ESSENTIAL, check_essential
 
     essentiality = check_essential(tc, cert, local)
@@ -191,16 +195,13 @@ def cmd_certify(args) -> int:
     report["complex_sha256"] = sha256_hex(complex_json(tc, inventory).encode("utf-8"))
     report["essentiality"] = essentiality.to_json()
     lap("serialization")
-    if args.timings:
-        report["timings"] = {"seconds": round(last - started, 6), "stages": stages}
     verdict = essentiality.verdict
     lines = [
         f"condition ({c.number}) [{c.status}] {c.witness}"
         for c in essentiality.conditions
     ]
     lines.append(f"verdict: {verdict}")
-    exit_code = EXIT_OK if verdict == ESSENTIAL else EXIT_DOMAIN
-    return _emit(report, exit_code, args, lines)
+    return emit(EXIT_OK if verdict == ESSENTIAL else EXIT_DOMAIN, lines)
 
 
 @functools.cache

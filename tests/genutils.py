@@ -18,6 +18,7 @@ from tribranch import (
     IntMatrix,
     MonodromyH1,
     OpenBookSpec,
+    PantsDecomposition,
     PantsMove,
     PantsPath,
     SurfaceSig,
@@ -28,6 +29,7 @@ from tribranch import (
     intersection_form,
     move_kind,
     replay,
+    stabilize,
     standard_decomposition,
     transvection,
 )
@@ -217,6 +219,39 @@ def random_outer_spec(rng, g_max=2, b_max=4, max_moves=6) -> OpenBookSpec:
         monodromy=random_monodromy(page, rng),
         pants_path=path,
     )
+
+
+def extend_path(path: PantsPath, site: int) -> PantsPath:
+    """``path`` on the page stabilized at boundary circle ``site``.
+
+    A fresh pants cuts off the two boundary circles that the stabilization
+    leaves at ``site``, and a fresh curve, fixed by the closure, joins it to
+    the old leg's cuff.  This presumes that the stabilizing curve misses
+    every curve of the path, which nothing checks; ``stabilize`` therefore
+    clears the path, and the tests carry it with this helper.
+    """
+    start = path.start
+    b = start.n_legs
+    pants_id = "Pstab"
+    while pants_id in start.pants:
+        pants_id += "x"
+    curve_id = "cstab"
+    while curve_id in start.edges:
+        curve_id += "x"
+    edges = {**start.edges, curve_id: (start.legs[site], (pants_id, 1))}
+    legs = {**start.legs, site: (pants_id, 2), b + 1: (pants_id, 3)}
+    new_start = PantsDecomposition(pants=start.pants | {pants_id}, edges=edges, legs=legs)
+    return PantsPath(start=new_start, moves=list(path.moves),
+                     closure={**path.closure, curve_id: curve_id})
+
+
+def stabilize_along(spec: OpenBookSpec, site: int) -> OpenBookSpec:
+    """``stabilize(spec, site).spec`` with the pants path carried over by
+    :func:`extend_path` instead of cleared."""
+    stabilized = stabilize(spec, site).spec
+    if spec.pants_path is None:
+        return stabilized
+    return stabilized._replace(pants_path=extend_path(spec.pants_path, site))
 
 
 class _TracedRow(list):

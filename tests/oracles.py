@@ -1,6 +1,6 @@
 """Reference versions of package routines, for the property suites only.
 
-The isomorphism routines of ``surfaces`` are tried here on every vertex
+The isomorphism routines of ``search`` are tried here on every vertex
 bijection in lexicographic order, so each costs V! and is meant for the few
 pants of the property suites.  The package routines must return exactly
 what these return: equal canonical keys for exactly the leg-respecting
@@ -8,10 +8,10 @@ isomorphic pairs, and the same lexicographically smallest vertex maps.
 
 ``refine_until_stable`` is the colour refinement that always runs one
 more round to confirm that nothing splits, even once every pants has a
-colour of its own.  ``stable_colours`` is ``surfaces._colours`` built on
+colour of its own.  ``stable_colours`` is ``search._colours`` built on
 it: the stable colouring and the non-loop neighbours it was refined on,
 with leg labels and self-loop counts only seeding the first colouring.
-``individualised_key`` is ``surfaces.canonical_key`` built on it, by a
+``individualised_key`` is ``search.canonical_key`` built on it, by a
 recursive search rather than the package's leaf generator.  The package
 routines must return exactly what these return.
 
@@ -26,7 +26,7 @@ comparing each re-pairing with the cuffs of one support pants, and
 
 ``search_path_all_moves`` is the breadth-first search expanding every move,
 S-moves and the re-pairing that keeps the original grouping included;
-``paths.search_path`` must return the same moves and closure.
+``search.search_path`` must return the same moves and closure.
 
 ``complex_fingerprint`` is a label-free invariant of a complex: colour
 refinement on its graph of branches, circles and blocks.  Relations between
@@ -51,9 +51,9 @@ from tribranch.paths import (
     move_kind,
 )
 from tribranch.schema import COMPLEX_FORMAT
+from tribranch.search import canonical_key as package_canonical_key
+from tribranch.search import find_isomorphism as package_find_isomorphism
 from tribranch.surfaces import PantsDecomposition, SurfaceSig
-from tribranch.surfaces import canonical_key as package_canonical_key
-from tribranch.surfaces import find_isomorphism as package_find_isomorphism
 
 
 def h1_presentation(spec) -> IntMatrix:
@@ -131,7 +131,7 @@ def refine_until_stable(colour: dict, nbrs: dict) -> dict:
 
 
 def stable_colours(pd: PantsDecomposition):
-    """``(colour, nbrs)`` as ``surfaces._colours`` returns them."""
+    """``(colour, nbrs)`` as ``search._colours`` returns them."""
     legs = {p: () for p in pd.pants}
     loops = dict.fromkeys(pd.pants, 0)
     nbrs = {p: [] for p in pd.pants}

@@ -13,7 +13,7 @@ from tribranch import (
     standard_decomposition,
     validate_pants,
 )
-from tribranch import search, surfaces
+from tribranch import search
 from tribranch.surfaces import vertex_map_from_curve_bijection
 
 from genutils import make_rng, random_decomposition, random_move, random_page
@@ -285,7 +285,7 @@ def test_key_shape_is_a_function_of_the_key():
     shape_of = {}
     for pd in pages:
         key = (pd.surface_sig(), canonical_key(pd))
-        shape = surfaces.key_shape(pd)
+        shape = search.key_shape(pd)
         assert shape_of.setdefault(key, shape) == shape, pd
     keys_per_shape = Counter((sig, repr(shape)) for (sig, _), shape in shape_of.items())
     shared = sum(n * (n - 1) // 2 for n in keys_per_shape.values())

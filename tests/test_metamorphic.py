@@ -22,9 +22,9 @@ change.  Of the three relations only this one moves the wrap of the
 construction, where the last slab is glued to page 0 through the closure.
 
 Stabilization: a positive Hopf stabilization of an open book gives the same
-manifold, and ``stabilize(..., extend_path=True)`` carries the pants path
-along.  So H_1, the rank bound, the verdict and the four condition statuses
-must not change, at every boundary site of every seeded spec.  Each spec is
+manifold, and ``genutils.stabilize_along`` carries the pants path along.  So
+H_1, the rank bound, the verdict and the four condition statuses must not
+change, at every boundary site of every seeded spec.  Each spec is
 stabilized once first, at a seeded site, so that it carries windings.
 """
 
@@ -35,7 +35,7 @@ import io
 import json
 import random
 
-from genutils import random_outer_spec, rotate_path
+from genutils import random_outer_spec, rotate_path, stabilize_along
 from oracles import complex_fingerprint
 from test_golden_reports import write_corpus
 from tribranch import (
@@ -45,7 +45,6 @@ from tribranch import (
     check_local_models,
     construct_outer,
     rank_certificate,
-    stabilize,
     validate_spec,
 )
 from tribranch.cli import EXIT_DOMAIN, EXIT_OK, main
@@ -189,12 +188,12 @@ def test_stabilization_keeps_the_certificate():
     verdicts = set()
     for _ in range(100):
         spec = random_outer_spec(rng)
-        spec = stabilize(spec, sites.randint(1, spec.page.n_boundary), extend_path=True).spec
+        spec = stabilize_along(spec, sites.randint(1, spec.page.n_boundary))
         assert any(any(row) for row in spec.windings.entries)
         before = library_summary(spec)
         verdicts.add(before[2])
         for site in range(1, spec.page.n_boundary + 1):
-            stabilized = stabilize(spec, site, extend_path=True).spec
+            stabilized = stabilize_along(spec, site)
             assert library_summary(stabilized) == before, (spec, site)
             compared += 1
     assert compared == 376

@@ -38,6 +38,7 @@ from genutils import (
     random_monodromy,
     random_page,
     rows_tested_and_reduced,
+    stabilize_along,
     traced_rows,
 )
 from oracles import h1_presentation
@@ -775,12 +776,12 @@ def test_stabilize_extend_path_keeps_a_valid_path():
     pd = standard_decomposition(page)
     path = PantsPath(start=pd, moves=[], closure={c: c for c in pd.edges})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
-    res = stabilize(spec, site=1, extend_path=True)
-    new_path = res.spec.pants_path
+    stabilized = stabilize_along(spec, 1)
+    new_path = stabilized.pants_path
     assert new_path is not None
     assert new_path.start.surface_sig() == SurfaceSig(1, 2)
     assert validate_path(new_path).ok
-    assert validate_spec(res.spec).report.ok
+    assert validate_spec(stabilized).report.ok
 
 
 def test_stabilize_extend_path_with_moves():
@@ -792,8 +793,7 @@ def test_stabilize_extend_path_with_moves():
     path = PantsPath(start=pd, moves=moves, closure={"g2": "c1"})
     spec = OpenBookSpec(page=page, monodromy=MonodromyH1.identity(page), pants_path=path)
     assert validate_spec(spec).report.ok
-    res = stabilize(spec, site=1, extend_path=True)
-    assert validate_spec(res.spec).report.ok
+    assert validate_spec(stabilize_along(spec, 1)).report.ok
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from tribranch import (
 
 import oracles
 from test_isomorphism import CLOSED_PAGES, closed_page
-from tribranch import paths, search, surfaces
+from tribranch import paths, search
 from genutils import (
     inverse_move,
     make_rng,
@@ -661,7 +661,7 @@ def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch)
         sig = random_page(rng, g_max=2, b_max=6)
         start = random_decomposition(sig, rng, scramble=rng.randint(0, 4))
         target = random_decomposition(sig, rng, scramble=rng.randint(3, 8))
-        target_shape = surfaces.key_shape(target)
+        target_shape = search.key_shape(target)
         for budget in (1, 2, 3, 5, 8):
             keyed.clear()
             candidates.clear()
@@ -673,7 +673,7 @@ def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch)
             for pd in candidates:
                 if len(seen) < budget:
                     seen.add(canonical_key(pd))
-                elif surfaces.key_shape(pd) != target_shape:
+                elif search.key_shape(pd) != target_shape:
                     assert id(pd) not in keyed_ids, (start.surface_sig(), budget)
                     skipped += 1
     assert searches > 80 and skipped > 2000, (searches, skipped)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from genutils import stabilize_along
 from tribranch import (
     MonodromyH1,
     OpenBookSpec,
@@ -15,7 +16,6 @@ from tribranch import (
     construct_outer,
     h1_open_book,
     rank_certificate,
-    stabilize,
     standard_decomposition,
     validate_path,
     validate_spec,
@@ -61,6 +61,95 @@ def test_schema_rejects_structural_problems():
     with pytest.raises(SchemaError):
         parse_spec({"page": {"genus": 0, "boundary": 3},
                     "monodromy": {"h1_matrix": [[1.5, 0], [0, 1]]}})
+
+
+def _clean_spec() -> dict:
+    """F(0,3) with the identity and a one-pants path, which every verb reads."""
+    return {"page": {"genus": 0, "boundary": 3},
+            "monodromy": {"h1_matrix": [[1, 0], [0, 1]],
+                          "pants_path": {"start": {"pants": ["P0"], "edges": {},
+                                                   "legs": {"1": ["P0", 1], "2": ["P0", 2],
+                                                            "3": ["P0", 3]}},
+                                         "moves": [], "closure": {}}}}
+
+
+def _start(doc):
+    return doc["monodromy"]["pants_path"]["start"]
+
+
+_MOVE = {"removed": "c1", "added": "c2"}
+_PATH = "monodromy.pants_path"
+
+# (id, the one fault planted in the clean spec, the SchemaError message).
+STRUCTURAL_REJECTIONS = [
+    ("not-an-object", lambda d: [d], "spec document must be a JSON object"),
+    ("format", lambda d: {**d, "format": "tribranch-spec/2"},
+     "format must be 'tribranch-spec/1' when given"),
+    ("negative-genus", lambda d: d["page"].update(genus=-1),
+     "page.genus and page.boundary must be non-negative"),
+    ("negative-boundary", lambda d: d["page"].update(boundary=-1),
+     "page.genus and page.boundary must be non-negative"),
+    ("options", lambda d: d.update(options=[]), "options must be an object"),
+    ("convention", lambda d: d.update(options={"degenerate_path_convention": 1}),
+     "options.degenerate_path_convention must be a boolean"),
+    ("name", lambda d: d.update(name=7), "name must be a string"),
+    ("h1-rows", lambda d: d["monodromy"].update(h1_matrix=[1, 0]),
+     "monodromy.h1_matrix must be a list of rows"),
+    ("winding-rows", lambda d: d["monodromy"].update(boundary_windings=[0, 0, 0]),
+     "monodromy.boundary_windings must be a list of rows"),
+    ("pants-strings", lambda d: _start(d).update(pants=["P0", 1]),
+     f"{_PATH}.start.pants must be strings"),
+    ("pants-twice", lambda d: _start(d).update(pants=["P0", "P0"]),
+     f"{_PATH}.start.pants lists a pants id more than once"),
+    ("edge-ends", lambda d: _start(d).update(edges={"c1": [["P0", 1]]}),
+     f"{_PATH}.start.edges.c1 must list two endpoints"),
+    ("cuff-pair", lambda d: _start(d)["legs"].update({"1": ["P0"]}),
+     f"{_PATH}.start.legs.1 must be a [pants, slot] pair"),
+    ("moves-list", lambda d: d["monodromy"]["pants_path"].update(moves={}),
+     f"{_PATH}.moves must be a list"),
+    ("move-kind", lambda d: d["monodromy"]["pants_path"].update(moves=[{**_MOVE, "kind": "B"}]),
+     f"{_PATH}.moves[0].kind must be 'A' or 'S'"),
+    ("pairing-groups", lambda d: d["monodromy"]["pants_path"].update(
+        moves=[{**_MOVE, "kind": "A", "pairing": [[["P0", 1], ["P0", 2]]]}]),
+     f"{_PATH}.moves[0].pairing must be a list of two groups of cuffs"),
+    ("closure-map", lambda d: d["monodromy"]["pants_path"].update(closure={"c1": 1}),
+     f"{_PATH}.closure must map curve ids to curve ids"),
+    ("invalid-json", lambda d: json.dumps(d)[:-1], None),
+]
+
+
+@pytest.mark.parametrize("fault, message", [case[1:] for case in STRUCTURAL_REJECTIONS],
+                         ids=[case[0] for case in STRUCTURAL_REJECTIONS])
+def test_each_structural_rejection_exits_2_from_every_verb(tmp_path, capsys, fault, message):
+    path = tmp_path / "spec.json"
+    out_file = tmp_path / "complex.json"
+    doc = _clean_spec()
+    bent = fault(doc)
+    text = bent if isinstance(bent, str) else json.dumps(bent or doc)
+    if message is None:
+        with pytest.raises(json.JSONDecodeError) as err:
+            json.loads(text)
+        message = f"{path} is not valid JSON: {err.value}"
+    path.write_text(text)
+    for argv in (["validate"], ["homology"], ["certify"],
+                 ["construct", "--mode", "naive", "--out", out_file]):
+        code = main([argv[0], str(path), *map(str, argv[1:])])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+    assert not out_file.exists()
+
+
+def test_the_clean_spec_of_the_structural_rejections_reaches_every_verb(tmp_path, capsys):
+    # certify exits 1 only for its verdict: H_1 = Z^2 bounds the rank by 2.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_clean_spec()))
+    for argv, exit_code in ((["validate"], 0), (["homology"], 0), (["certify"], 1),
+                            (["construct", "--mode", "naive", "--out",
+                              tmp_path / "complex.json"], 0)):
+        assert main([argv[0], str(path), "--quiet", *map(str, argv[1:])]) == exit_code, argv
+        out = capsys.readouterr().out
+        if argv[0] == "certify":
+            assert json.loads(out)["essentiality"]["verdict"] == "NotEstablished"
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
@@ -118,11 +207,11 @@ def test_pairing_survives_round_trip():
 
 def test_stabilized_spec_round_trips_with_windings():
     spec = degenerate_spec(0, 5)
-    res = stabilize(spec, site=2, extend_path=True)
-    assert res.spec.windings is not None
-    back = round_trip(res.spec)
-    assert back.windings == res.spec.windings
-    assert h1_open_book(back) == h1_open_book(res.spec)
+    stabilized = stabilize_along(spec, 2)
+    assert stabilized.windings is not None
+    back = round_trip(stabilized)
+    assert back.windings == stabilized.windings
+    assert h1_open_book(back) == h1_open_book(stabilized)
 
 
 def test_stabilized_spec_certifies_end_to_end():
@@ -130,17 +219,17 @@ def test_stabilized_spec_certifies_end_to_end():
     # windings absorb the boundary-parallel twist and the extended path
     # carries the outer construction through.
     spec = degenerate_spec(0, 5)
-    res = stabilize(spec, site=2, extend_path=True)
-    assert validate_spec(res.spec).report.ok
-    cert = rank_certificate(res.spec)
+    stabilized = stabilize_along(spec, 2)
+    assert validate_spec(stabilized).report.ok
+    cert = rank_certificate(stabilized)
     assert cert.verdict == "Certified" and cert.lower_bound == 4
-    tc = construct_outer(validate_spec(res.spec))
+    tc = construct_outer(validate_spec(stabilized))
     report = check_essential(tc, cert, check_local_models(tc))
     assert report.verdict == "Essential"
     # And once more on top.
-    res2 = stabilize(res.spec, site=res.spec.page.n_boundary, extend_path=True)
-    cert2 = rank_certificate(res2.spec)
-    tc2 = construct_outer(validate_spec(res2.spec))
+    twice = stabilize_along(stabilized, stabilized.page.n_boundary)
+    cert2 = rank_certificate(twice)
+    tc2 = construct_outer(validate_spec(twice))
     assert check_essential(tc2, cert2, check_local_models(tc2)).verdict == "Essential"
 
 

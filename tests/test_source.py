@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import tribranch
@@ -129,3 +130,16 @@ def test_traced_names_resolve_as_the_harness_reads_them():
         if not found:
             missing.append(f"{where}: {module}.{dotted}")
     assert not missing, f"names the benchmark traces or imports do not resolve: {missing}"
+
+
+def test_old_modules_resolve_exactly_the_moved_names_the_benchmark_reads():
+    # A moved name resolves through its old module only because the harness
+    # reads it there: an alias that nothing reads is dead code, and one that
+    # the harness reads but the old module lacks breaks every traced run.
+    names = _benchmark_names()
+    for old in ("intalg", "openbook", "paths", "surfaces"):
+        module = importlib.import_module(f"tribranch.{old}")
+        resolved = set(inspect.getclosurevars(module.__getattr__).nonlocals["source"])
+        read = {dotted.split(".")[0] for _, owner, dotted in names
+                if owner == module.__name__} - set(vars(module))
+        assert resolved == read, (old, sorted(resolved - read), sorted(read - resolved))
