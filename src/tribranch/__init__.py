@@ -49,8 +49,8 @@ _SOURCE = {
     ), "paths"),
     **dict.fromkeys(("reports", "Issue", "ValidationReport"), "reports"),
     **dict.fromkeys((
-        "surfaces", "CurveId", "Multicurve", "PantsDecomposition", "SurfaceSig",
-        "cut_structure", "validate_pants",
+        "surfaces", "PantsDecomposition", "SurfaceSig", "cut_structure",
+        "validate_pants",
     ), "surfaces"),
     **dict.fromkeys(("canonical_key", "find_isomorphism", "search_path"), "search"),
     **dict.fromkeys((

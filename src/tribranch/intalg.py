@@ -431,6 +431,11 @@ def fits_str_limit(x: int) -> bool:
     return not limit or abs(x).bit_length() <= 3 * limit or abs(x) < 10 ** limit
 
 
+def int_text(x: int) -> str:
+    """``str(x)``, or ``<too many digits>`` where :func:`fits_str_limit` fails."""
+    return str(x) if fits_str_limit(x) else "<too many digits>"
+
+
 def min_generators(g: AbelianGroup) -> int:
     """Minimal number of generators: free rank plus torsion summand count."""
     return g.free_rank + len(g.torsion)

@@ -46,7 +46,7 @@ from collections import namedtuple
 
 from . import _resolver
 from .errors import MonodromyError, TribranchError
-from .intalg import AbelianGroup, IntMatrix, cokernel, fits_str_limit, min_generators
+from .intalg import AbelianGroup, IntMatrix, cokernel, fits_str_limit, int_text, min_generators
 from .paths import check_path
 from .reports import ValidationReport
 from .surfaces import SurfaceSig
@@ -85,9 +85,10 @@ def validate_monodromy(page: SurfaceSig, m: MonodromyH1) -> ValidationReport:
     k = h1_rank(page)
     mat = m.matrix
     if (mat.rows, mat.cols) != (k, k):
+        n = int_text(k)
         report.add(
             "matrix-dimension",
-            f"matrix is {mat.rows}x{mat.cols}, expected {k}x{k} for page {page}",
+            f"matrix is {mat.rows}x{mat.cols}, expected {n}x{n} for page {page}",
         )
         return report
     # Column i of a fixed boundary class i is the unit vector e_i.  Each row's
@@ -113,8 +114,7 @@ def validate_monodromy(page: SurfaceSig, m: MonodromyH1) -> ValidationReport:
     if not report.ok:
         det = mat.det()
         if abs(det) != 1:
-            shown = det if fits_str_limit(det) else "with too many digits to print"
-            report.add("determinant", f"determinant {shown} is not +-1")
+            report.add("determinant", f"determinant {int_text(det)} is not +-1")
     return report
 
 
@@ -218,7 +218,7 @@ def validate_spec(spec: OpenBookSpec) -> CheckedSpec:
         if (w.rows, w.cols) != (k, spec.page.n_boundary):
             report.add(
                 "windings-shape",
-                f"windings are {w.rows}x{w.cols}, expected {k}x{spec.page.n_boundary}",
+                f"windings are {w.rows}x{w.cols}, expected {int_text(k)}x{spec.page.n_boundary}",
             )
     decomps = closure_map = None
     if spec.pants_path is not None:
@@ -240,7 +240,8 @@ def _checked_shapes(spec: OpenBookSpec) -> tuple:
     k, b = h1_rank(page), page.n_boundary
     m, w = spec.monodromy.matrix, spec.winding_matrix()
     if (m.rows, m.cols) != (k, k):
-        raise MonodromyError(f"matrix is {m.rows}x{m.cols}, expected {k}x{k} for page {page}")
+        n = int_text(k)
+        raise MonodromyError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n} for page {page}")
     if (w.rows, w.cols) != (k, b):
         raise MonodromyError(f"windings are {w.rows}x{w.cols}, expected {k}x{b}")
     return m, w

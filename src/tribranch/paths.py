@@ -36,8 +36,6 @@ from . import _resolver
 from .errors import MoveError, TribranchError
 from .reports import ValidationReport
 from .surfaces import (
-    CurveId,
-    Multicurve,
     PantsDecomposition,
     components,
     validate_pants,
@@ -93,7 +91,7 @@ class PantsPath(namedtuple("PantsPath", "start moves closure")):
         }
 
 
-def move_kind(pd: PantsDecomposition, removed: CurveId) -> str:
+def move_kind(pd: PantsDecomposition, removed: str) -> str:
     """The move kind forced by the support of ``removed``.
 
     Equivalent to classifying the piece of ``cut_structure`` that glues the
@@ -105,14 +103,14 @@ def move_kind(pd: PantsDecomposition, removed: CurveId) -> str:
     return S_MOVE if pd.is_self_loop(removed) else A_MOVE
 
 
-def _support_cuffs(pd: PantsDecomposition, removed: CurveId) -> list:
+def _support_cuffs(pd: PantsDecomposition, removed: str) -> list:
     (u, su), (v, sv) = pd.edges[removed]
     cuffs = [(u, s) for s in (1, 2, 3) if s != su]
     cuffs += [(v, s) for s in (1, 2, 3) if s != sv]
     return cuffs
 
 
-def enumerate_pairings(pd: PantsDecomposition, removed: CurveId) -> list:
+def enumerate_pairings(pd: PantsDecomposition, removed: str) -> list:
     """The three two-and-two re-pairings of an A-move support, in a fixed order.
 
     Each pairs the smallest support cuff with a partner.  Index 0 keeps the
@@ -237,7 +235,7 @@ def _degenerate_pairing_disconnects(pd, removed, pairing) -> bool:
     return len(components(pd.pants, pairs)) > 1
 
 
-def common_curves(c_k: PantsDecomposition, c_next: PantsDecomposition) -> Multicurve:
+def common_curves(c_k: PantsDecomposition, c_next: PantsDecomposition) -> frozenset:
     """The curves shared by two consecutive decompositions of a path.
 
     Equal curve id sets are allowed and return everything (the degenerate

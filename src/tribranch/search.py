@@ -25,6 +25,8 @@ node's class.  A candidate the search may still expand costs one
 :func:`canonical_key`, a colour refinement rather than a loop over vertex
 orders.  One past the search's horizon can only be the target, and is first
 compared with it by :func:`key_shape`, which costs about a fifth of a key.
+The move at depth d of a found path adds the d-th of the curve ids ``n1,
+n2, ...`` that the start does not carry.
 """
 
 from __future__ import annotations
@@ -199,12 +201,13 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     carries the found isomorphism as its closure and always satisfies
     ``paths.validate_path``.
 
+    The move at depth d of a path adds the d-th of the names ``n1, n2,
+    ...`` that are not curves of ``c``, however many classes came before it.
     Only the start and the first ``budget - 1`` classes queued are ever
     expanded.  Past that horizon a candidate can only be the target, so it
-    is keyed only when its :func:`key_shape` matches the target's; the
-    others are kept in order and keyed only if the target turns up, since
-    the new classes before it fix its fresh id.  The results are those of
-    the search that keys every candidate.
+    is keyed only when its :func:`key_shape` matches the target's, and the
+    others are dropped.  The results are those of the search that keys
+    every candidate.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise TribranchError("budget must be a positive integer")
@@ -233,18 +236,18 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
     if start_key == target_key:
         return finish(c, [])
 
-    # Fresh curve ids n1, n2, ... skip the ids of the start system, so they
-    # never clash with a curve that is still present.
-    fresh_ids = (f"n{j}" for j in count(1) if f"n{j}" not in c.edges)
-    fresh = next(fresh_ids)
+    # The moves out of a node at depth d add the (d + 1)-th of these names.
+    names = (f"n{j}" for j in count(1) if f"n{j}" not in c.edges)
+    fresh, depth = next(names), 0
     seen = {start_key}
     queue = deque([(c, [])])
     target_shape = key_shape(c_target)
-    past_horizon = []
     expanded = 0
     while queue and expanded < budget:
         pd, moves = queue.popleft()
         expanded += 1
+        if len(moves) > depth:
+            fresh, depth = next(names), len(moves)
         for curve in pd.curve_ids():
             if pd.is_self_loop(curve):
                 continue
@@ -252,8 +255,8 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
                 # apply_move's checks hold by construction: the curve is no
                 # self-loop, so the move is an A-move; enumerate_pairings
                 # splits exactly its support cuffs two-and-two, in sorted
-                # groups; the fresh id skips the start's curves and every id
-                # already used, so no queued decomposition carries it.
+                # groups; the fresh id is neither a start curve nor one an
+                # earlier move of the path added, so pd does not carry it.
                 nxt = _apply_repairing(pd, curve, fresh, pairing)
                 if len(seen) < budget:
                     key = canonical_key(nxt)
@@ -261,19 +264,9 @@ def search_path(c: PantsDecomposition, c_target: PantsDecomposition, budget: int
                         continue
                     seen.add(key)
                     path = moves + [PantsMove(curve, fresh, A_MOVE, pairing)]
-                    fresh = next(fresh_ids)
                     if key == target_key:
                         return finish(nxt, path)
                     queue.append((nxt, path))
-                elif key_shape(nxt) != target_shape or canonical_key(nxt) != target_key:
-                    past_horizon.append(nxt)
-                else:
-                    # Each new class before the target used up a fresh id.
-                    for earlier in past_horizon:
-                        key = canonical_key(earlier)
-                        if key not in seen:
-                            seen.add(key)
-                            fresh = next(fresh_ids)
-                    mv = PantsMove(curve, fresh, A_MOVE, pairing)
-                    return finish(_apply_repairing(pd, curve, fresh, pairing), moves + [mv])
+                elif key_shape(nxt) == target_shape and canonical_key(nxt) == target_key:
+                    return finish(nxt, moves + [PantsMove(curve, fresh, A_MOVE, pairing)])
     return None

@@ -33,14 +33,10 @@ from collections import Counter, namedtuple
 
 from . import _resolver
 from .errors import TribranchError
+from .intalg import int_text
 from .reports import ValidationReport
 
 __getattr__ = _resolver(__name__, dict.fromkeys(("canonical_key", "find_isomorphism"), "search"))
-
-# Curves are identified by opaque strings, stable under serialization.
-CurveId = str
-# A multicurve is just a subset of the curve ids of one decomposition.
-Multicurve = frozenset
 
 
 class SurfaceSig(namedtuple("SurfaceSig", "genus n_boundary")):
@@ -93,11 +89,11 @@ class PantsDecomposition(namedtuple("PantsDecomposition", "pants edges legs")):
     """A pants decomposition as a decorated trivalent multigraph.
 
     ``pants``  -- the frozenset of pants (vertex) ids, strings.
-    ``edges``  -- curve id -> ordered pair of cuffs, a cuff being a (pants
-                  id, slot in 1..3) pair.  The order of the two endpoints
-                  is meaningful: endpoint 0 is the negative side of the
-                  curve and endpoint 1 the positive side, which is where
-                  push-offs are placed by the surface constructions.
+    ``edges``  -- curve id (a string) -> ordered pair of cuffs, a cuff
+                  being a (pants id, slot in 1..3) pair.  The order of the
+                  two endpoints is meaningful: endpoint 0 is the negative
+                  side of the curve and endpoint 1 the positive side, which
+                  is where push-offs are placed by the surface constructions.
     ``legs``   -- boundary label (1..b) -> the cuff carrying that boundary
                   circle of the surface.
 
@@ -129,7 +125,7 @@ class PantsDecomposition(namedtuple("PantsDecomposition", "pants edges legs")):
     def curve_ids(self) -> list:
         return sorted(self.edges)
 
-    def is_self_loop(self, curve: CurveId) -> bool:
+    def is_self_loop(self, curve: str) -> bool:
         (u, _), (v, _) = self.edges[curve]
         return u == v
 
@@ -198,13 +194,11 @@ def validate_pants(sig: SurfaceSig, pd: PantsDecomposition) -> ValidationReport:
     v, e, legs = pd.n_pants, pd.n_curves, pd.n_legs
     if 3 * v != 2 * e + legs:
         report.add("counting", f"3V = {3*v} but 2E + L = {2*e + legs}")
-    if v != 2 * sig.genus + sig.n_boundary - 2:
-        report.add(
-            "pants-count",
-            f"pants count mismatch: V = {v}, -chi = {2*sig.genus + sig.n_boundary - 2}",
-        )
-    if e != 3 * sig.genus + sig.n_boundary - 3:
-        report.add("curve-count", f"E = {e}, expected {3*sig.genus + sig.n_boundary - 3}")
+    minus_chi, n_curves = 2 * sig.genus + sig.n_boundary - 2, 3 * sig.genus + sig.n_boundary - 3
+    if v != minus_chi:
+        report.add("pants-count", f"pants count mismatch: V = {v}, -chi = {int_text(minus_chi)}")
+    if e != n_curves:
+        report.add("curve-count", f"E = {e}, expected {int_text(n_curves)}")
     if len(components(pd.pants, [(u, v) for (u, _), (v, _) in pd.edges.values()])) > 1:
         report.add("disconnected", "the pants graph is not connected")
     elif pd.pants and e - v + 1 != sig.genus:

@@ -26,7 +26,9 @@ comparing each re-pairing with the cuffs of one support pants, and
 
 ``search_path_all_moves`` is the breadth-first search expanding every move,
 S-moves and the re-pairing that keeps the original grouping included;
-``search.search_path`` must return the same moves and closure.
+``search.search_path`` must return the same moves and closure.  It also
+counts the new classes it queued before the target, which tells a target
+met past the search's horizon.
 
 ``complex_fingerprint`` is a label-free invariant of a complex: colour
 refinement on its graph of branches, circles and blocks.  Relations between
@@ -277,8 +279,10 @@ def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,
     """``search_path`` generating every candidate of a node, in the same order.
 
     Each curve in sorted order contributes its S-move, or its three A-move
-    re-pairings in the order of ``enumerate_pairings``; a fresh id is used up
-    only by a candidate whose class is new.  Inputs are not checked.
+    re-pairings in the order of ``enumerate_pairings``; the move at depth d
+    adds the d-th name of ``n1, n2, ...`` that is not a curve of ``c``.
+    Returns the path, or None, and the number of new classes queued before
+    the target or the end.  Inputs are not checked.
     """
     target_key = package_canonical_key(c_target)
 
@@ -286,11 +290,13 @@ def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,
         _, emap = package_find_isomorphism(pd, c_target)
         return PantsPath(start=c, moves=moves, closure=dict(emap))
 
+    def fresh(depth):
+        names = (f"n{j}" for j in itertools.count(1) if f"n{j}" not in c.edges)
+        return next(itertools.islice(names, depth, None))
+
     start_key = package_canonical_key(c)
     if start_key == target_key:
-        return finish(c, [])
-    fresh_ids = (f"n{j}" for j in itertools.count(1) if f"n{j}" not in c.edges)
-    fresh = next(fresh_ids)
+        return finish(c, []), 0
     seen = {start_key}
     queue = deque([(c, [])])
     expanded = 0
@@ -301,17 +307,16 @@ def search_path_all_moves(c: PantsDecomposition, c_target: PantsDecomposition,
             kind = move_kind(pd, curve)
             pairings = [None] if kind == S_MOVE else enumerate_pairings(pd, curve)
             for pairing in pairings:
-                mv = PantsMove(curve, fresh, kind, pairing)
+                mv = PantsMove(curve, fresh(len(moves)), kind, pairing)
                 nxt = apply_move(pd, mv)
                 key = package_canonical_key(nxt)
                 if key in seen:
                     continue
-                fresh = next(fresh_ids)
-                seen.add(key)
                 if key == target_key:
-                    return finish(nxt, moves + [mv])
+                    return finish(nxt, moves + [mv]), len(seen) - 1
+                seen.add(key)
                 queue.append((nxt, moves + [mv]))
-    return None
+    return None, len(seen) - 1
 
 
 def _sig_json(sig) -> dict:

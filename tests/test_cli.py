@@ -510,6 +510,46 @@ def test_huge_page_boundary_is_a_domain_failure(tmp_path, capsys):
         assert "matrix-dimension" in {e["code"] for e in report_of(out)["validation"]}
 
 
+# JSON reads integers of up to 4,300 digits, and Python prints no integer
+# longer than that: k = 2g + b - 1 has 4,301 digits for a 4,300-digit genus,
+# and for a 4,300-digit boundary b = 10**4300 - 1 on the torus by the carry.
+HUGE = int("9" * 4300)
+
+
+def _huge_genus(doc):
+    doc["page"] = {"genus": HUGE, "boundary": 1}
+    del doc["monodromy"]["pants_path"]
+
+
+def _huge_genus_with_windings(doc):
+    _huge_genus(doc)
+    doc["monodromy"]["boundary_windings"] = [[0, 0, 0, 0]]
+
+
+def _huge_genus_with_a_path(doc):
+    doc["page"] = {"genus": HUGE, "boundary": 1}
+
+
+def _huge_boundary_on_the_torus(doc):
+    doc["page"] = {"genus": 1, "boundary": HUGE}
+    del doc["monodromy"]["pants_path"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "homology", "certify", "construct"])
+@pytest.mark.parametrize("mutate", [_huge_genus, _huge_genus_with_windings,
+                                    _huge_genus_with_a_path, _huge_boundary_on_the_torus])
+def test_page_rank_past_the_digit_limit_is_a_domain_failure(mutate, verb, tmp_path, capsys):
+    spec = _mutated_f05(mutate, tmp_path)
+    argv = [verb, spec, "--quiet"]
+    if verb == "construct":
+        argv += ["--mode", "naive", "--out", tmp_path / "complex.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert report_of(out)["exit_code"] == 1
+    assert "matrix-dimension" in out
+    assert "Traceback" not in out + err
+
+
 def test_parser_reuse_keeps_no_flags_between_calls(capsys):
     path = FIXTURES / "f05_identity.json"
     code, out, _ = run(capsys, "certify", path, "--quiet", "--timings")

@@ -17,7 +17,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # behaviour, so it must be deliberate.
 STDOUT_SHA256 = {
     "01_surfaces_and_pants": "d39ae5bd252cafa6ecc4a89249806b0f26a99282c48a6d503ae3fe4cff93993e",
-    "02_moves_and_search": "3fca2d1e91d16ca7cf87e6acd7adf970065662d579b03ceacbf004304aff6691",
+    "02_moves_and_search": "610d4f4cdb72a35e5e13e5b7befefdba5f250290abb04f0a5ab7beffd6b9a640",
     "03_homology_and_certificates": "f594c6690d080031f5bb81eccb0f24c4466c15944ba5c13d8479d75444e4d81b",
     "04_tribranched_complexes": "f021d26ba6e7aad461857c4dee6098f419b331fa18cdb062c0f653eac82dc746",
     "05_certify_pipeline": "536745592ae7f04574c74c227a4acf95cb5ac44f50760f2d7b0bd796d3b72ea9",

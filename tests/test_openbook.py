@@ -258,6 +258,18 @@ def test_huge_determinant_is_reported_without_its_digits():
     assert "too many digits" in report.entries[-1].message
 
 
+@pytest.mark.parametrize("page", [SurfaceSig(int("9" * 4300), 1), SurfaceSig(1, int("9" * 4300))])
+def test_page_rank_past_the_digit_limit_is_reported_without_its_digits(page):
+    # k = 2g + b - 1 has 4,301 digits, one more than Python prints.
+    spec = OpenBookSpec(page, MonodromyH1(IntMatrix.identity(4)),
+                        windings=IntMatrix.zeros(4, 1))
+    report = validate_spec(spec).report
+    assert report.codes() == ["matrix-dimension", "windings-shape"]
+    assert all("<too many digits>" in e.message for e in report.entries)
+    with pytest.raises(MonodromyError, match="expected <too many digits>x<too many digits>"):
+        openbook._checked_shapes(spec)
+
+
 # ---------------------------------------------------------------------------
 # h1_open_book / rank_certificate
 # ---------------------------------------------------------------------------

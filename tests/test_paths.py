@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -566,12 +567,12 @@ def result_json(path):
 def threshold_budget(start, target, cap=4096):
     """The smallest budget at which the all-moves oracle finds the target."""
     lo, hi = 1, 1
-    while oracles.search_path_all_moves(start, target, hi) is None:
+    while oracles.search_path_all_moves(start, target, hi)[0] is None:
         assert hi < cap, "target not found within the cap"
         lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if oracles.search_path_all_moves(start, target, mid) is None:
+        if oracles.search_path_all_moves(start, target, mid)[0] is None:
             lo = mid + 1
         else:
             hi = mid
@@ -599,41 +600,87 @@ def classes_one_move(start):
     return len(keys - {canonical_key(start)})
 
 
-def new_classes_before_the_target(start, path):
-    """How many new classes a search queued before its target, read off the
-    last move's fresh id: each new class uses up the next id of the sequence."""
-    fresh_ids = (f"n{j}" for j in itertools.count(1) if f"n{j}" not in start.edges)
-    return next(k for k, x in enumerate(fresh_ids) if x == path.moves[-1].added)
-
-
-def test_search_matches_the_all_moves_oracle():
-    # The budgets around each target's threshold, the benchmark's class-2
-    # budget (1 + the classes one move from the start, so that the search
-    # queues them all and meets a target two moves away past its horizon)
-    # and budget 1 on targets one move away.  Past its horizon the search
-    # keys a candidate only when its shape matches the target's, and the
-    # earlier ones only when the target turns up, to count their fresh ids.
+def oracle_cases():
+    """``search_cases`` and a target one move from each start, each with the
+    budgets around its threshold, the benchmark's class-2 budget (1 + the
+    classes one move from the start, so that the search queues them all and
+    meets a target two moves away past its horizon) and budget 1."""
     rng = random.Random(29)
     cases = search_cases()
     cases += [(start, target) for start, target in
               ((start, one_move_target(start, rng)) for start, _ in cases) if target]
-    found = exhausted = past_horizon = 0
+    out = []
     for start, target in cases:
         t = threshold_budget(start, target)
         budgets = sorted({1, 2, 3, max(1, t - 1), t, t + 1, 2 * t + 5,
                           1 + classes_one_move(start)}
                          | {2 ** j for j in range(t.bit_length())})
+        out.append((start, target, budgets))
+    return out
+
+
+def fresh_names(start, n):
+    """The first ``n`` names of n1, n2, ... that are not curves of ``start``."""
+    return list(itertools.islice(
+        (f"n{j}" for j in itertools.count(1) if f"n{j}" not in start.edges), n))
+
+
+def test_search_matches_the_all_moves_oracle():
+    # Past its horizon the search keys a candidate only when its shape
+    # matches the target's.  The oracle counts the new classes it queued
+    # before the target, so a target found past the horizon is one with at
+    # least budget - 1 of them.
+    found = exhausted = past_horizon = 0
+    for start, target, budgets in oracle_cases():
         for budget in budgets:
-            want = result_json(oracles.search_path_all_moves(start, target, budget))
+            want, queued = oracles.search_path_all_moves(start, target, budget)
             path = search_path(start, target, budget)
-            assert result_json(path) == want, (start.surface_sig(), budget)
+            assert result_json(path) == result_json(want), (start.surface_sig(), budget)
             if want is None:
                 exhausted += 1
             else:
                 found += 1
-                past_horizon += (bool(path.moves)
-                                 and new_classes_before_the_target(start, path) >= budget - 1)
+                past_horizon += bool(path.moves) and queued >= budget - 1
     assert found > 0 and exhausted > 0 and past_horizon > 50, (found, exhausted, past_horizon)
+
+
+def test_search_names_each_fresh_curve_by_the_depth_of_its_move():
+    # Move j of a found path adds the j-th n-name that the start does not
+    # carry, however many classes the search queued before it.  The curves
+    # of `renamed` are n1 and n2, so its moves add n3, n4, ...
+    a, _ = two_leg_groupings_f05()
+    renamed = PantsDecomposition.build(
+        a.pants, {"n" + c[1:]: ends for c, ends in a.edges.items()}, a.legs)
+    cases = oracle_cases()
+    cases += [(renamed, target, budgets) for start, target, budgets in cases
+              if start.surface_sig() == renamed.surface_sig()]
+    assert sorted(renamed.edges) == ["n1", "n2"]
+    paths_checked = renamed_checked = 0
+    for start, target, budgets in cases:
+        for budget in budgets:
+            path = search_path(start, target, budget)
+            if path is None:
+                continue
+            added = [mv.added for mv in path.moves]
+            assert added == fresh_names(start, len(added)), (start.surface_sig(), budget)
+            paths_checked += bool(added)
+            renamed_checked += start is renamed and len(added) > 1
+    assert paths_checked > 100 and renamed_checked > 0, (paths_checked, renamed_checked)
+
+
+def test_search_memory_does_not_grow_with_the_budget():
+    """A target one move away, with a budget of a million nodes, is found
+    with a peak allocation under a megabyte: nothing is sized by the budget."""
+    a, _ = two_leg_groupings_f05()
+    target = one_move_target(a, random.Random(5))
+    tracemalloc.start()
+    try:
+        path = search_path(a, target, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path is not None and len(path.moves) == 1
+    assert peak < 1 << 20, peak
 
 
 def test_search_keys_no_candidate_past_its_horizon_by_another_shape(monkeypatch):

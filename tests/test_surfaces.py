@@ -56,6 +56,14 @@ def test_validate_pants_count_mismatch():
     assert "pants-count" in report.codes()
 
 
+def test_validate_pants_counts_past_the_digit_limit():
+    # -chi and E of a page of genus 10**4300 - 1 have 4,301 digits.
+    pd = PantsDecomposition.build(["P0"], {"c1": (("P0", 1), ("P0", 2))}, {1: ("P0", 3)})
+    report = validate_pants(SurfaceSig(int("9" * 4300), 1), pd)
+    assert report.codes() == ["pants-count", "curve-count", "cycle-rank"]
+    assert all(e.message.endswith("<too many digits>") for e in report.entries[:2])
+
+
 def test_validate_curve_with_both_ends_on_one_cuff():
     pd = PantsDecomposition.build(["P0"], {"c1": (("P0", 1), ("P0", 1))}, {1: ("P0", 3)})
     issues = validate_pants(SurfaceSig(1, 1), pd).entries
